@@ -7,7 +7,8 @@
    - analyze         static mover/lockset pre-pass (Lipton reduction)
    - predict         witness-guided predictive atomicity (forced replays)
    - record          record a workload (or .vel program) trace to a file
-   - check-trace     replay a recorded trace (text or binary, --stream)
+   - check-trace     replay a recorded trace (text or binary), streaming
+   - serve           check many trace files on a pool of domains
    - convert         convert traces between the text and binary formats
    - table1          regenerate Table 1 (slowdowns, node statistics)
    - table2          regenerate Table 2 (warning classification)
@@ -20,7 +21,7 @@
    Exit codes, uniform across subcommands: 0 = clean (no warnings, every
    block proved), 1 = violations reported / blocks left unproved / a
    failed soundness gate, 2 = usage errors, ill-formed programs and
-   corrupt trace files. *)
+   unreadable, corrupt or ill-formed trace files. *)
 
 open Cmdliner
 open Velodrome_analysis
@@ -73,7 +74,9 @@ let exits =
         "when warnings were reported, a block could not be proved atomic, \
          or the soundness gate failed.";
     Cmd.Exit.info 2
-      ~doc:"on usage errors, ill-formed programs and corrupt trace files.";
+      ~doc:
+        "on usage errors, ill-formed programs and unreadable, corrupt or \
+         ill-formed trace files.";
     Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on unexpected internal errors.";
   ]
 
@@ -166,6 +169,48 @@ let dump_dots dir names warnings =
       | None -> ())
     warnings
 
+(* Every program the CLI builds passes the static checks before anything
+   runs it: a failing program reports every error, with statement paths,
+   and exits 2. *)
+let checked_program name program =
+  match Velodrome_lang.Check.check_program program with
+  | Ok () -> program
+  | Error errs ->
+    List.iter
+      (fun e -> Format.eprintf "%s: %a@." name Velodrome_lang.Check.pp_error e)
+      errs;
+    exit 2
+
+(* Parsing a .vel file also yields the source position of each atomic
+   label, which analyze uses to anchor verdicts. *)
+let parse_vel file =
+  match Velodrome_lang.Parser.parse_file_info file with
+  | exception Velodrome_lang.Parser.Parse_error (m, l, c) ->
+    Format.eprintf "%s: %a@." file Velodrome_lang.Parser.pp_error (m, l, c);
+    exit 2
+  | exception Velodrome_lang.Lexer.Lex_error (m, l, c) ->
+    Printf.eprintf "%s: lex error at %d:%d: %s\n" file l c m;
+    exit 2
+  | program, positions ->
+    (checked_program file program, fun l -> List.assoc_opt l positions)
+
+let build_workload size w =
+  checked_program w.Workload.name (w.Workload.build size)
+
+(* A program target is a .vel source file or a workload name; workloads
+   are built in memory and have no source positions. *)
+let build_program_info name size =
+  if Filename.check_suffix name ".vel" && Sys.file_exists name then
+    parse_vel name
+  else
+    match Workload.find name with
+    | None ->
+      Printf.eprintf "unknown workload %S\n" name;
+      exit 2
+    | Some w -> (build_workload size w, fun _ -> None)
+
+let build_program name size = fst (build_program_info name size)
+
 (* --- list ---------------------------------------------------------------- *)
 
 let list_cmd =
@@ -189,7 +234,8 @@ let run_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see 'velodrome list').")
+      & info [] ~docv:"WORKLOAD"
+          ~doc:"Workload name (see 'velodrome list') or a .vel program file.")
   in
   let dot_dir =
     Arg.(
@@ -198,39 +244,34 @@ let run_cmd =
       & info [ "dot" ] ~docv:"DIR" ~doc:"Write error graphs as dot files.")
   in
   let run name size seed adversarial analyses dot_dir spec =
-    match Workload.find name with
-    | None ->
-      Printf.eprintf "unknown workload %S\n" name;
-      exit 2
-    | Some w ->
-      let program = w.Workload.build size in
-      let names = program.Velodrome_sim.Ast.names in
-      let backends =
-        List.filter_map
-          (fun a ->
-            match mk_backend names a with
-            | Some b -> Some b
-            | None ->
-              Printf.eprintf "unknown analysis %S (ignored)\n" a;
-              None)
-          analyses
-        |> apply_spec (load_spec spec) names
-      in
-      let config =
-        {
-          Velodrome_sim.Run.default_config with
-          policy = Velodrome_sim.Run.Random seed;
-          adversarial;
-        }
-      in
-      let res = Velodrome_sim.Run.run ~config program backends in
-      Printf.printf "%s: %d events, %d pauses%s\n" name
-        res.Velodrome_sim.Run.events res.Velodrome_sim.Run.pauses
-        (if res.Velodrome_sim.Run.deadlocked then " (DEADLOCK)" else "");
-      let warnings = Warning.dedup_by_label res.Velodrome_sim.Run.warnings in
-      report_warnings names warnings;
-      Option.iter (fun dir -> dump_dots dir names warnings) dot_dir;
-      exit_violations warnings
+    let program = build_program name size in
+    let names = program.Velodrome_sim.Ast.names in
+    let backends =
+      List.filter_map
+        (fun a ->
+          match mk_backend names a with
+          | Some b -> Some b
+          | None ->
+            Printf.eprintf "unknown analysis %S (ignored)\n" a;
+            None)
+        analyses
+      |> apply_spec (load_spec spec) names
+    in
+    let config =
+      {
+        Velodrome_sim.Run.default_config with
+        policy = Velodrome_sim.Run.Random seed;
+        adversarial;
+      }
+    in
+    let res = Velodrome_sim.Run.run ~config program backends in
+    Printf.printf "%s: %d events, %d pauses%s\n" name
+      res.Velodrome_sim.Run.events res.Velodrome_sim.Run.pauses
+      (if res.Velodrome_sim.Run.deadlocked then " (DEADLOCK)" else "");
+    let warnings = Warning.dedup_by_label res.Velodrome_sim.Run.warnings in
+    report_warnings names warnings;
+    Option.iter (fun dir -> dump_dots dir names warnings) dot_dir;
+    exit_violations warnings
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under selected analyses." ~exits)
@@ -248,70 +289,30 @@ let check_cmd =
       & info [] ~docv:"FILE" ~doc:"A .vel program file.")
   in
   let run file seed adversarial analyses spec =
-    match Velodrome_lang.Parser.parse_file file with
-    | exception Velodrome_lang.Parser.Parse_error (m, l, c) ->
-      Format.eprintf "%s: %a@." file Velodrome_lang.Parser.pp_error (m, l, c);
-      exit 2
-    | exception Velodrome_lang.Lexer.Lex_error (m, l, c) ->
-      Printf.eprintf "%s: lex error at %d:%d: %s\n" file l c m;
-      exit 2
-    | program -> (
-      match Velodrome_lang.Check.check_program program with
-      | Error errs ->
-        List.iter
-          (fun e ->
-            Format.eprintf "%s: %a@." file Velodrome_lang.Check.pp_error e)
-          errs;
-        exit 2
-      | Ok () ->
-        let names = program.Velodrome_sim.Ast.names in
-        let backends =
-          List.filter_map (mk_backend names) analyses
-          |> apply_spec (load_spec spec) names
-        in
-        let config =
-          {
-            Velodrome_sim.Run.default_config with
-            policy = Velodrome_sim.Run.Random seed;
-            adversarial;
-          }
-        in
-        let res = Velodrome_sim.Run.run ~config program backends in
-        Printf.printf "%s: %d events%s\n" file res.Velodrome_sim.Run.events
-          (if res.Velodrome_sim.Run.deadlocked then " (DEADLOCK)" else "");
-        let warnings =
-          Warning.dedup_by_label res.Velodrome_sim.Run.warnings
-        in
-        report_warnings names warnings;
-        exit_violations warnings)
+    let program, _ = parse_vel file in
+    let names = program.Velodrome_sim.Ast.names in
+    let backends =
+      List.filter_map (mk_backend names) analyses
+      |> apply_spec (load_spec spec) names
+    in
+    let config =
+      {
+        Velodrome_sim.Run.default_config with
+        policy = Velodrome_sim.Run.Random seed;
+        adversarial;
+      }
+    in
+    let res = Velodrome_sim.Run.run ~config program backends in
+    Printf.printf "%s: %d events%s\n" file res.Velodrome_sim.Run.events
+      (if res.Velodrome_sim.Run.deadlocked then " (DEADLOCK)" else "");
+    let warnings = Warning.dedup_by_label res.Velodrome_sim.Run.warnings in
+    report_warnings names warnings;
+    exit_violations warnings
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Check a .vel program file for atomicity." ~exits)
     Term.(
       const run $ file $ seed_arg $ adversarial_arg $ analyses_arg $ spec_arg)
-
-(* A program target is a .vel source file or a workload name. Parsing a
-   file also yields the source position of each atomic label, which
-   analyze uses to anchor verdicts; workloads are built in memory and
-   have none. *)
-let build_program_info name size =
-  if Filename.check_suffix name ".vel" && Sys.file_exists name then
-    match Velodrome_lang.Parser.parse_file_info name with
-    | exception Velodrome_lang.Parser.Parse_error (m, l, c) ->
-      Format.eprintf "%s: %a@." name Velodrome_lang.Parser.pp_error (m, l, c);
-      exit 2
-    | exception Velodrome_lang.Lexer.Lex_error (m, l, c) ->
-      Printf.eprintf "%s: lex error at %d:%d: %s\n" name l c m;
-      exit 2
-    | program, positions -> (program, fun l -> List.assoc_opt l positions)
-  else
-    match Workload.find name with
-    | None ->
-      Printf.eprintf "unknown workload %S\n" name;
-      exit 2
-    | Some w -> (w.Workload.build size, fun _ -> None)
-
-let build_program name size = fst (build_program_info name size)
 
 (* --- analyze ----------------------------------------------------------------- *)
 
@@ -371,7 +372,8 @@ let gate_ok g =
    reference and AeroDrome. Two independent sound-and-complete
    algorithms (explicit happens-before graph vs vector clocks) must
    agree on the verdict and on the first violating event, and Aero must
-   match Basic warning-for-warning. *)
+   match Basic warning-for-warning. [Ok v] is the agreed verdict
+   (violation or not); [Error] describes the disagreement. *)
 let engine_trio_check names trace =
   let module E = Velodrome_core.Engine in
   let module B = Velodrome_core.Basic in
@@ -393,18 +395,18 @@ let engine_trio_check names trace =
   let wa = List.sort compare (List.map proj (A.warnings a))
   and wb = List.sort compare (List.map proj (B.warnings b)) in
   if E.has_error e <> B.has_error b || B.has_error b <> A.has_error a then
-    Some
+    Error
       (Printf.sprintf "verdicts disagree: velodrome=%b basic=%b aero=%b"
          (E.has_error e) (B.has_error b) (A.has_error a))
   else if
     E.first_error_index e <> B.first_error_index b
     || B.first_error_index b <> A.first_error_index a
-  then Some "first violation index disagrees across engines"
+  then Error "first violation index disagrees across engines"
   else if wa <> wb then
-    Some
+    Error
       (Printf.sprintf "aero/basic warning sets differ (%d vs %d)"
          (List.length wa) (List.length wb))
-  else None
+  else Ok (E.has_error e)
 
 let may_violate st l =
   List.exists
@@ -487,8 +489,8 @@ let run_gate program st seeds =
       (match res.Velodrome_sim.Run.trace with
       | Some tr -> (
         match engine_trio_check names tr with
-        | Some msg -> engines := (desc, msg) :: !engines
-        | None -> ())
+        | Error msg -> engines := (desc, msg) :: !engines
+        | Ok _ -> ())
       | None -> ());
       warnings := !warnings + List.length res.Velodrome_sim.Run.warnings;
       List.iter
@@ -663,7 +665,7 @@ let analyze_cmd =
       if all then
         List.map
           (fun w ->
-            (w.Workload.name, w.Workload.build size, (fun _ -> None), None))
+            (w.Workload.name, build_workload size w, (fun _ -> None), None))
           Workload.all
       else
         match target with
@@ -679,12 +681,13 @@ let analyze_cmd =
       named
       @ List.init generated (fun k ->
             let s = gen_seed + k in
+            let name = Printf.sprintf "generated(progen seed %d)" s in
             let program, info =
               Velodrome_sim.Progen.generate_info
                 (Velodrome_util.Rng.create s)
             in
-            ( Printf.sprintf "generated(progen seed %d)" s,
-              program,
+            ( name,
+              checked_program name program,
               (fun _ -> None),
               Some (s, info.Velodrome_sim.Progen.families) ))
     in
@@ -693,15 +696,6 @@ let analyze_cmd =
     let results =
       List.map
         (fun (name, program, pos, origin) ->
-          (match Velodrome_lang.Check.check_program program with
-          | Ok () -> ()
-          | Error errs ->
-            List.iter
-              (fun e ->
-                Format.eprintf "%s: %a@." name Velodrome_lang.Check.pp_error
-                  e)
-              errs;
-            exit 2);
           let st = Statics.analyze ~values:(not no_values) program in
           if Statics.proved_count st < Statics.block_count st then
             any_unknown := true;
@@ -1081,19 +1075,13 @@ let predict_cmd =
         exit 2
       | Some name, None -> (name, build_program name size)
       | None, Some s ->
-        ( Printf.sprintf "--gen-seed %d" s,
-          fst
-            (Velodrome_sim.Progen.generate_info
-               (Velodrome_util.Rng.create s)) )
+        let spec = Printf.sprintf "--gen-seed %d" s in
+        ( spec,
+          checked_program spec
+            (fst
+               (Velodrome_sim.Progen.generate_info
+                  (Velodrome_util.Rng.create s))) )
     in
-    (match Velodrome_lang.Check.check_program program with
-    | Ok () -> ()
-    | Error errs ->
-      List.iter
-        (fun e ->
-          Format.eprintf "%s: %a@." spec Velodrome_lang.Check.pp_error e)
-        errs;
-      exit 2);
     let st = Statics.analyze program in
     match schedule with
     | Some sch -> begin
@@ -1171,8 +1159,7 @@ let races_cmd =
     let targets =
       if all then
         List.map
-          (fun w ->
-            (w.Workload.name, w.Workload.build size, fun _ -> None))
+          (fun w -> (w.Workload.name, build_workload size w, fun _ -> None))
           Workload.all
       else
         match target with
@@ -1187,15 +1174,6 @@ let races_cmd =
     let results =
       List.map
         (fun (name, program, pos) ->
-          (match Velodrome_lang.Check.check_program program with
-          | Ok () -> ()
-          | Error errs ->
-            List.iter
-              (fun e ->
-                Format.eprintf "%s: %a@." name Velodrome_lang.Check.pp_error
-                  e)
-              errs;
-            exit 2);
           let st = Statics.analyze program in
           if Statics.race_pair_count st > 0 then any_races := true;
           (name, pos, st))
@@ -1277,38 +1255,39 @@ let record_cmd =
     (Cmd.info "record" ~doc:"Record a workload's event trace to a file.")
     Term.(const run $ workload $ out $ size_arg $ seed_arg)
 
-let read_trace file =
-  if Velodrome_trace.Trace_codec.is_binary_file file then
-    Velodrome_trace.Trace_codec.read_file file
-  else Velodrome_trace.Trace_io.read_file file
+module Driver = Velodrome_stream.Driver
 
+(* convert and minimize need the whole trace in memory, decoded and
+   well-formed; failures read as they do in check-trace. *)
 let load_trace file =
-  match read_trace file with
-  | exception Velodrome_trace.Trace_io.Syntax_error (line, msg) ->
-    Printf.eprintf "%s:%d: %s\n" file line msg;
+  let fail e =
+    prerr_endline (Driver.error_line file e);
     exit 2
-  | exception Velodrome_trace.Trace_codec.Corrupt msg ->
-    Printf.eprintf "%s: corrupt binary trace: %s\n" file msg;
-    exit 2
+  in
+  let open Velodrome_trace in
+  match
+    if Trace_codec.is_binary_file file then Trace_codec.read_file file
+    else Trace_io.read_file file
+  with
+  | exception
+      ((Trace_io.Syntax_error _ | Trace_codec.Corrupt _ | Sys_error _) as e) ->
+    fail e
   | names, trace -> (
-    match Velodrome_trace.Trace.check trace with
-    | Error v ->
-      Format.eprintf "%s: ill-formed trace: %a@." file
-        Velodrome_trace.Trace.pp_violation v;
-      exit 2
-    | Ok () -> (names, trace))
+    match Trace.check trace with
+    | Ok () -> (names, trace)
+    | Error v -> fail (Trace.Ill_formed v))
 
-(* Like mk_backend, but the optimized engine is built explicitly so the
-   --stats reporter can probe its live happens-before node count. *)
-let mk_stream_backends names analyses =
-  let probe = ref None in
-  let backends =
+(* The back-ends of check-trace: like mk_backend, but the optimized
+   engine is built explicitly so the --stats reporter can probe its live
+   happens-before node count. *)
+let stream_backends analyses =
+  let engine = ref None in
+  let backends names =
     List.filter_map
       (function
         | "velodrome" ->
           let eng = Velodrome_core.Engine.create names in
-          probe :=
-            Some (fun () -> Velodrome_core.Engine.nodes_live eng);
+          engine := Some eng;
           let module E = struct
             type t = Velodrome_core.Engine.t
 
@@ -1328,38 +1307,67 @@ let mk_stream_backends names analyses =
             None))
       analyses
   in
-  (backends, !probe)
+  let live_nodes () =
+    Option.fold ~none:0 ~some:Velodrome_core.Engine.nodes_live !engine
+  in
+  (backends, if List.mem "velodrome" analyses then Some live_nodes else None)
 
-let print_stats (s : Velodrome_stream.Driver.stats) =
+let print_stats (s : Driver.stats) =
   Printf.eprintf
     "[stream] events=%d warnings=%d%s alloc=%.0fw minor-gcs=%d major-gcs=%d\n%!"
-    s.Velodrome_stream.Driver.events s.Velodrome_stream.Driver.warnings
-    (match s.Velodrome_stream.Driver.live_nodes with
+    s.Driver.events s.Driver.warnings
+    (match s.Driver.live_nodes with
     | Some n -> Printf.sprintf " live-nodes=%d" n
     | None -> "")
-    s.Velodrome_stream.Driver.allocated_words
-    s.Velodrome_stream.Driver.minor_collections
-    s.Velodrome_stream.Driver.major_collections
+    s.Driver.allocated_words s.Driver.minor_collections
+    s.Driver.major_collections
 
-let warning_json = Warning.to_json
-
-let report_trace_result ?(partial = false) fmt file events names warnings =
-  match fmt with
-  | `Human ->
-    Printf.printf "%s: %d operations%s\n" file events
-      (if partial then " (partial: stream truncated)" else "");
-    report_warnings names warnings
-  | `Json ->
-    let open Velodrome_util.Json in
-    print_endline
-      (to_string
-         (Obj
-            ([
-               ("file", String file);
-               ("events", Int events);
-               ("warnings", List (List.map (warning_json names) warnings));
-             ]
-            @ if partial then [ ("partial", Bool true) ] else [])))
+(* The one printer of a checked stream, for check-trace and serve alike:
+   the operation count and the warnings — for a failed stream those of
+   its valid prefix, when it has one — then a failure's diagnostic on
+   stderr. *)
+let print_outcome fmt path outcome =
+  let events, warnings, failure =
+    match outcome with
+    | Driver.Checked { events; warnings } -> (events, warnings, None)
+    | Driver.Failed { events; warnings; message } ->
+      (events, warnings, Some message)
+  in
+  let partial = failure <> None in
+  if events > 0 || not partial then begin
+    match fmt with
+    | `Human ->
+      Printf.printf "%s: %d operations%s\n" path events
+        (if partial then " (partial: stream truncated)" else "");
+      if warnings = [] then print_endline "No warnings."
+      else begin
+        Printf.printf "%d warning(s):\n" (List.length warnings);
+        List.iter
+          (fun (w : Driver.warning_view) ->
+            Printf.printf "  %s\n" w.Driver.human)
+          warnings
+      end
+    | `Json ->
+      let open Velodrome_util.Json in
+      print_endline
+        (to_string
+           (Obj
+              ([
+                 ("file", String path);
+                 ("events", Int events);
+                 ( "warnings",
+                   List
+                     (List.map
+                        (fun (w : Driver.warning_view) -> w.Driver.json)
+                        warnings) );
+               ]
+              @ if partial then [ ("partial", Bool true) ] else [])))
+  end;
+  Option.iter
+    (fun message ->
+      flush stdout;
+      prerr_endline message)
+    failure
 
 let check_trace_cmd =
   let file =
@@ -1373,77 +1381,35 @@ let check_trace_cmd =
       value & flag
       & info [ "stream" ]
           ~doc:
-            "Replay directly from the file in bounded memory instead of \
-             loading the whole trace first.")
+            "Accepted for compatibility and has no effect: every replay \
+             streams from the file in bounded memory.")
   in
   let stats =
     Arg.(
       value
       & opt (some int) None
       & info [ "stats" ] ~docv:"N"
-          ~doc:
-            "With --stream: report engine statistics to stderr every N \
-             events.")
+          ~doc:"Report engine statistics to stderr every N events.")
   in
-  let run file analyses stream stats fmt =
-    if stream then begin
-      match
-        Velodrome_stream.Source.with_file file (fun src ->
-            let names = src.Velodrome_stream.Source.names in
-            let backends, live_nodes = mk_stream_backends names analyses in
-            let progress = Option.map (fun _ -> print_stats) stats in
-            match
-              Velodrome_stream.Driver.run ?progress ?every:stats ?live_nodes
-                backends src
-            with
-            | events, warnings -> (names, events, warnings, None)
-            | exception Velodrome_stream.Driver.Interrupted { events; error }
-              ->
-              (* The prefix before the damage is a real trace: keep its
-                 event count and warnings and report them below. *)
-              (names, events, List.concat_map Backend.warnings backends,
-               Some error))
-      with
-      | exception Velodrome_trace.Trace_io.Syntax_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" file line msg;
-        exit 2
-      | exception Velodrome_trace.Trace_codec.Corrupt msg ->
-        Printf.eprintf "%s: corrupt binary trace: %s\n" file msg;
-        exit 2
-      | names, events, warnings, partial ->
-        let warnings = Warning.dedup_by_label warnings in
-        (match partial with
-        | None ->
-          report_trace_result fmt file events names warnings;
-          exit_violations warnings
-        | Some error ->
-          (* Partial stats before the exit-2 diagnostic: a truncated
-             stream's replayed prefix still counts. *)
-          if events > 0 then
-            report_trace_result ~partial:true fmt file events names warnings;
-          (match error with
-          | Velodrome_trace.Trace_io.Syntax_error (line, msg) ->
-            Printf.eprintf "%s:%d: %s\n" file line msg
-          | Velodrome_trace.Trace_codec.Corrupt msg ->
-            Printf.eprintf "%s: corrupt binary trace: %s\n" file msg
-          | e -> raise e);
-          exit 2)
-    end
-    else begin
-      let names, trace = load_trace file in
-      let backends = List.filter_map (mk_backend names) analyses in
-      let warnings =
-        Warning.dedup_by_label (Backend.run_trace backends trace)
-      in
-      report_trace_result fmt file
-        (Velodrome_trace.Trace.length trace)
-        names warnings;
-      exit_violations warnings
-    end
+  let run file analyses (_ : bool) stats fmt =
+    let backends, live_nodes = stream_backends analyses in
+    let outcome =
+      Driver.check_file
+        ?progress:(Option.map (fun _ -> print_stats) stats)
+        ?every:stats ?live_nodes ~backends file
+    in
+    print_outcome fmt file outcome;
+    match outcome with
+    | Driver.Checked { warnings; _ } -> exit_violations warnings
+    | Driver.Failed _ -> exit 2
   in
   Cmd.v
     (Cmd.info "check-trace"
-       ~doc:"Replay a recorded trace through the analyses." ~exits)
+       ~doc:
+         "Replay a recorded trace through the analyses, streaming it from \
+          the file. An ill-formed, truncated or corrupt trace exits 2 \
+          after the result for its valid prefix."
+       ~exits)
     Term.(const run $ file $ analyses_arg $ stream $ stats $ format_arg)
 
 let convert_cmd =
@@ -1527,16 +1493,11 @@ let print_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload to print as .vel source.")
+      & info [] ~docv:"WORKLOAD"
+          ~doc:"Workload (or .vel program file) to print as .vel source.")
   in
   let run name size =
-    match Workload.find name with
-    | None ->
-      Printf.eprintf "unknown workload %S\n" name;
-      exit 2
-    | Some w ->
-      print_string
-        (Velodrome_lang.Printer.to_string (w.Workload.build size))
+    print_string (Velodrome_lang.Printer.to_string (build_program name size))
   in
   Cmd.v
     (Cmd.info "print"
@@ -1575,28 +1536,24 @@ let fuzz_cmd =
     for k = 1 to count do
       let tr = Gen.run rng cfg in
       let names = Names.create () in
-      let eng = Velodrome_core.Engine.create names in
-      let basic = Velodrome_core.Basic.create names in
-      Trace.iteri
-        (fun index op ->
-          let ev = Event.make ~index op in
-          Velodrome_core.Engine.on_event eng ev;
-          Velodrome_core.Basic.on_event basic ev)
-        tr;
       let oracle = not (Velodrome_oracle.Oracle.serializable tr) in
-      let engine = Velodrome_core.Engine.has_error eng in
-      let fig2 = Velodrome_core.Basic.has_error basic in
-      if engine <> oracle || fig2 <> oracle then begin
-        incr mismatches;
-        Printf.printf
-          "MISMATCH on trace %d: oracle=%b engine=%b basic=%b\n%s\n" k oracle
-          engine fig2
-          (Trace_io.to_string names tr)
-      end
+      let problem =
+        match engine_trio_check names tr with
+        | Ok v when v = oracle -> None
+        | Ok v -> Some (Printf.sprintf "oracle=%b engines=%b" oracle v)
+        | Error msg -> Some msg
+      in
+      Option.iter
+        (fun msg ->
+          incr mismatches;
+          Printf.printf "MISMATCH on trace %d: %s\n%s\n" k msg
+            (Trace_io.to_string names tr))
+        problem
     done;
     if !mismatches = 0 then
       Printf.printf
-        "fuzz: %d random traces, engine = basic = oracle on all of them\n"
+        "fuzz: %d random traces, velodrome = basic = aero = oracle on all of \
+         them\n"
         count
     else begin
       Printf.printf "fuzz: %d mismatches out of %d traces\n" !mismatches count;
@@ -1606,8 +1563,9 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-        "Differential fuzzing: random well-formed traces through both \
-         engines and the offline oracle.")
+        "Differential fuzzing: random well-formed traces through the three \
+         atomicity engines (velodrome, velodrome-basic, aero) and the \
+         offline oracle.")
     Term.(const run $ count $ seed_arg $ dense)
 
 (* --- tables and studies --------------------------------------------------- *)
@@ -1747,64 +1705,24 @@ let serve_cmd =
     in
     let backends names = List.filter_map (mk_backend names) analyses in
     let total = List.length paths in
-    (* Per-stream output is byte-identical to [check-trace FILE] (same
-       renderer, same JSON objects), and the ordered merge emits it in
-       submission order — so the whole stdout is independent of --jobs
-       and equal to a sequential sweep. *)
-    let print_views = function
-      | [] -> print_endline "No warnings."
-      | ws ->
-        Printf.printf "%d warning(s):\n" (List.length ws);
-        List.iter
-          (fun (w : Serve.warning_view) -> Printf.printf "  %s\n" w.Serve.human)
-          ws
-    in
-    let json_doc path events warnings extra =
-      let open Velodrome_util.Json in
-      Obj
-        ([
-           ("file", String path);
-           ("events", Int events);
-           ( "warnings",
-             List
-               (List.map
-                  (fun (w : Serve.warning_view) -> w.Serve.json)
-                  warnings) );
-         ]
-        @ extra)
-    in
+    (* Per-stream output is check-trace's own (same check, same printer),
+       and the ordered merge emits it in submission order — so the whole
+       stdout is independent of --jobs and equal to a sequential sweep. *)
     let print_result (r : Serve.result) =
-      (match (fmt, r.Serve.outcome) with
-      | `Human, Serve.Checked { events; warnings } ->
-        Printf.printf "%s: %d operations\n" r.Serve.path events;
-        print_views warnings
-      | `Human, Serve.Failed { events; warnings; message } ->
-        if events > 0 then begin
-          Printf.printf "%s: %d operations (partial: stream truncated)\n"
-            r.Serve.path events;
-          print_views warnings
-        end;
-        Printf.eprintf "%s\n" message
-      | `Json, Serve.Checked { events; warnings } ->
-        print_endline
-          (Velodrome_util.Json.to_string (json_doc r.Serve.path events warnings []))
-      | `Json, Serve.Failed { events; warnings; message } ->
-        if events > 0 then
-          print_endline
-            (Velodrome_util.Json.to_string
-               (json_doc r.Serve.path events warnings
-                  [ ("partial", Velodrome_util.Json.Bool true) ]));
-        Printf.eprintf "%s\n" message);
-      if stats then
-        Printf.eprintf "[serve] %d/%d %s: %d events, %d warnings, wait %.2fms, check %.2fms\n%!"
-          (r.Serve.index + 1) total r.Serve.path
-          (match r.Serve.outcome with
-          | Serve.Checked { events; _ } | Serve.Failed { events; _ } -> events)
-          (match r.Serve.outcome with
-          | Serve.Checked { warnings; _ } | Serve.Failed { warnings; _ } ->
-            List.length warnings)
+      print_outcome fmt r.Serve.path r.Serve.outcome;
+      if stats then begin
+        let events, warnings =
+          match r.Serve.outcome with
+          | Driver.Checked { events; warnings }
+          | Driver.Failed { events; warnings; _ } ->
+            (events, warnings)
+        in
+        Printf.eprintf
+          "[serve] %d/%d %s: %d events, %d warnings, wait %.2fms, check %.2fms\n%!"
+          (r.Serve.index + 1) total r.Serve.path events (List.length warnings)
           (Int64.to_float r.Serve.wait_ns /. 1e6)
           (Int64.to_float r.Serve.check_ns /. 1e6)
+      end
     in
     let s = Serve.run ?jobs ?queue_capacity:queue ~backends ~on_result:print_result paths in
     if stats then begin

@@ -510,8 +510,10 @@ let dispatch t st (e : Event.t) =
         Pool.set_active t.pool n false
       end
     | _ ->
-      (* Ill-formed stream ([End] without [Begin]); ignore, matching the
-         well-formedness contract of {!Velodrome_trace.Trace.check}. *)
+      (* [End] without [Begin]: ill-formed. The CLI and [serve] never
+         get here — their driver rejects the event first
+         ({!Velodrome_trace.Trace.Checker}) — so only a direct caller
+         feeding an unchecked trace does; ignore it. *)
       ())
   | Op.Acquire (_, m) -> (
     match st.cur with

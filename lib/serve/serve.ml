@@ -1,4 +1,3 @@
-open Velodrome_analysis
 module Squeue = Velodrome_util.Squeue
 
 (* Raw monotonic nanoseconds (shared Mclock funnel); serve measures
@@ -7,20 +6,10 @@ module Squeue = Velodrome_util.Squeue
    cycles). *)
 let now_ns () = Velodrome_util.Mclock.now_ns ()
 
-type warning_view = { human : string; json : Velodrome_util.Json.t }
-
-type outcome =
-  | Checked of { events : int; warnings : warning_view list }
-  | Failed of {
-      events : int;
-      warnings : warning_view list;
-      message : string;
-    }
-
 type result = {
   index : int;
   path : string;
-  outcome : outcome;
+  outcome : Velodrome_stream.Driver.outcome;
   wait_ns : int64;
   check_ns : int64;
 }
@@ -40,48 +29,6 @@ type stats = {
 type job = { j_index : int; j_path : string; j_enqueued : int64 }
 
 let default_jobs () = Domain.recommended_domain_count ()
-
-(* --- per-stream checking (worker side) -------------------------------------- *)
-
-let render names warnings =
-  List.map
-    (fun w ->
-      {
-        human = Format.asprintf "%a" (Warning.pp names) w;
-        json = Warning.to_json names w;
-      })
-    (Warning.dedup_by_label warnings)
-
-let error_line path = function
-  | Velodrome_trace.Trace_codec.Corrupt msg ->
-    Printf.sprintf "%s: corrupt binary trace: %s" path msg
-  | Velodrome_trace.Trace_io.Syntax_error (line, msg) ->
-    Printf.sprintf "%s:%d: %s" path line msg
-  | Sys_error msg -> msg
-  | e -> Printf.sprintf "%s: %s" path (Printexc.to_string e)
-
-(* One stream, one fresh engine, one fresh name table — all private to
-   the calling domain. Only rendered strings and Json leave. *)
-let check_stream ~backends path =
-  match
-    Velodrome_stream.Source.with_file path (fun src ->
-        let names = src.Velodrome_stream.Source.names in
-        let bs = backends names in
-        match Velodrome_stream.Driver.run bs src with
-        | events, warnings ->
-          Checked { events; warnings = render names warnings }
-        | exception Velodrome_stream.Driver.Interrupted { events; error } ->
-          Failed
-            {
-              events;
-              warnings = render names (List.concat_map Backend.warnings bs);
-              message = error_line path error;
-            })
-  with
-  | outcome -> outcome
-  (* Header-level damage surfaces before iteration starts. *)
-  | exception ((Velodrome_trace.Trace_codec.Corrupt _ | Sys_error _) as e) ->
-    Failed { events = 0; warnings = []; message = error_line path e }
 
 (* --- the pool ---------------------------------------------------------------- *)
 
@@ -123,7 +70,11 @@ let run ?jobs ?queue_capacity ~backends ~on_result paths =
         notify ();
         (* queue space freed *)
         let t0 = now_ns () in
-        let outcome = check_stream ~backends job.j_path in
+        (* One stream, one fresh engine, one fresh name table — all
+           private to this domain. Only rendered strings and Json leave. *)
+        let outcome =
+          Velodrome_stream.Driver.check_file ~backends job.j_path
+        in
         let t1 = now_ns () in
         Atomic.set
           results.(job.j_index)
@@ -165,7 +116,7 @@ let run ?jobs ?queue_capacity ~backends ~on_result paths =
               incr next_emit;
               progressed := true;
               (match r.outcome with
-              | Checked { events = e; warnings = ws } ->
+              | Velodrome_stream.Driver.Checked { events = e; warnings = ws } ->
                 events := !events + e;
                 warnings := !warnings + List.length ws
               | Failed { events = e; warnings = ws; _ } ->

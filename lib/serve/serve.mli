@@ -3,8 +3,8 @@
 
     One checker instance, many client streams — the "millions of users"
     architecture. Complete [.velb] (or textual) trace files are the unit
-    of work, exactly the {!Velodrome_stream.Source}/{!Velodrome_stream.Driver}
-    pipeline of the streaming CLI; the pool fans them out to [jobs]
+    of work, each checked by {!Velodrome_stream.Driver.check_file} —
+    the function [check-trace] runs; the pool fans them out to [jobs]
     worker domains through a bounded {!Velodrome_util.Squeue} and merges
     the per-stream results back {e deterministically}.
 
@@ -26,28 +26,10 @@
       are served. {!stats.max_resident} reports the observed high-water
       mark; the bench validator enforces the bound. *)
 
-type warning_view = {
-  human : string;  (** the line check-trace prints, sans indentation *)
-  json : Velodrome_util.Json.t;  (** the object check-trace emits *)
-}
-(** A warning rendered inside the worker domain (name resolution needs
-    the stream-local name environment, which never crosses domains). *)
-
-type outcome =
-  | Checked of { events : int; warnings : warning_view list }
-      (** the stream replayed to the end *)
-  | Failed of {
-      events : int;  (** events replayed before the failure *)
-      warnings : warning_view list;  (** warnings over the valid prefix *)
-      message : string;  (** the error line check-trace prints *)
-    }
-      (** the stream was corrupt, truncated or unreadable — exit-2
-          semantics, with the partial result preserved *)
-
 type result = {
   index : int;  (** submission index, 0-based *)
   path : string;
-  outcome : outcome;
+  outcome : Velodrome_stream.Driver.outcome;
   wait_ns : int64;  (** time spent queued before a worker picked it up *)
   check_ns : int64;  (** worker time to open, replay and render *)
 }

@@ -1,3 +1,4 @@
+open Velodrome_trace
 open Velodrome_analysis
 
 type stats = {
@@ -39,16 +40,21 @@ let run ?progress ?(every = default_interval) ?live_nodes backends
      allocate a closure capturing [e] on every event. *)
   let bs = Array.of_list backends in
   let nb = Array.length bs in
+  (* An ill-formed event raises here, before any back-end sees it, and
+     ends the stream like a truncation. *)
+  let wf = Trace.Checker.create () in
   let on_event =
     match progress with
     | None ->
       fun e ->
+        Trace.Checker.step wf !count e.Event.op;
         for i = 0 to nb - 1 do
           Backend.on_event bs.(i) e
         done;
         incr count
     | Some report ->
       fun e ->
+        Trace.Checker.step wf !count e.Event.op;
         for i = 0 to nb - 1 do
           Backend.on_event bs.(i) e
         done;
@@ -57,14 +63,67 @@ let run ?progress ?(every = default_interval) ?live_nodes backends
   in
   (try src.Source.iter on_event
    with error ->
-     (* A truncated or damaged stream still yields a partial result: the
-        events consumed and warnings raised so far are valid — the trace
-        prefix really happened — so finish the back-ends, emit one last
-        progress tick, and hand the caller everything alongside the
-        original error. *)
+     (* A truncated, damaged or ill-formed stream still yields a partial
+        result: the events consumed and warnings raised so far are valid
+        — the trace prefix really happened — so finish the back-ends,
+        emit one last progress tick, and hand the caller everything
+        alongside the original error. *)
      List.iter Backend.finish backends;
      Option.iter tick progress;
      raise (Interrupted { events = !count; error }));
   List.iter Backend.finish backends;
   Option.iter tick progress;
   (!count, List.concat_map Backend.warnings backends)
+
+(* --- one stream, checked and rendered ---------------------------------------- *)
+
+type warning_view = { human : string; json : Velodrome_util.Json.t }
+
+type outcome =
+  | Checked of { events : int; warnings : warning_view list }
+  | Failed of {
+      events : int;
+      warnings : warning_view list;
+      message : string;
+    }
+
+let render names warnings =
+  List.map
+    (fun w ->
+      {
+        human = Format.asprintf "%a" (Warning.pp names) w;
+        json = Warning.to_json names w;
+      })
+    (Warning.dedup_by_label warnings)
+
+let error_line path = function
+  | Trace_codec.Corrupt msg ->
+    Printf.sprintf "%s: corrupt binary trace: %s" path msg
+  | Trace_io.Syntax_error (line, msg) ->
+    Printf.sprintf "%s:%d: %s" path line msg
+  | Trace.Ill_formed v ->
+    Format.asprintf "%s: ill-formed trace: %a" path Trace.pp_violation v
+  | Sys_error msg when String.starts_with ~prefix:(path ^ ":") msg -> msg
+  | Sys_error msg -> Printf.sprintf "%s: %s" path msg
+  | e -> Printf.sprintf "%s: %s" path (Printexc.to_string e)
+
+let check_file ?progress ?every ?live_nodes ~backends path =
+  match
+    Source.with_file path (fun src ->
+        let names = src.Source.names in
+        let bs = backends names in
+        match run ?progress ?every ?live_nodes bs src with
+        | events, warnings ->
+          Checked { events; warnings = render names warnings }
+        | exception Interrupted { events; error } ->
+          Failed
+            {
+              events;
+              warnings = render names (List.concat_map Backend.warnings bs);
+              message = error_line path error;
+            })
+  with
+  | outcome -> outcome
+  (* Header-level damage surfaces before iteration starts. *)
+  | exception ((Trace_codec.Corrupt _ | Sys_error _) as e) ->
+    Failed { events = 0; warnings = []; message = error_line path e }

@@ -1,4 +1,5 @@
-(** The streaming replay driver.
+(** The streaming replay driver, and the one per-file check that both
+    [check-trace] and [serve] run.
 
     Feeds every event of a {!Source.t} to a set of analysis back-ends,
     exactly as {!Velodrome_analysis.Backend.run_events} does for
@@ -8,6 +9,11 @@
 
     Memory stays bounded by the analyses' own state: the driver holds
     one event at a time and never buffers the stream.
+
+    Every event is checked for well-formedness
+    ({!Velodrome_trace.Trace.Checker}) before any back-end sees it, so
+    the analyses only ever consume a well-formed prefix — the traces
+    their soundness and completeness statements quantify over.
 
     An optional [progress] callback observes engine statistics every
     [every] events and once more after the final event, for long-running
@@ -31,14 +37,15 @@ val default_interval : int
 (** Events between progress reports (100_000). *)
 
 exception Interrupted of { events : int; error : exn }
-(** Raised when the source's iteration fails mid-stream (a truncated
-    [.velb], a malformed text line): [events] counts the events already
-    replayed — the back-ends have been [finish]ed and their warnings for
-    the valid prefix are intact — and [error] is the original exception
-    ({!Velodrome_trace.Trace_codec.Corrupt} or
-    {!Velodrome_trace.Trace_io.Syntax_error}). A final progress tick is
-    emitted before the raise, so [--stats] observers see the partial
-    totals. *)
+(** Raised when the stream fails mid-way (a truncated [.velb], a
+    malformed text line, an ill-formed operation): [events] counts the
+    events already replayed — the back-ends have been [finish]ed and
+    their warnings for the valid prefix are intact — and [error] is the
+    original exception ({!Velodrome_trace.Trace_codec.Corrupt},
+    {!Velodrome_trace.Trace_io.Syntax_error} or
+    {!Velodrome_trace.Trace.Ill_formed}, whose index is [events]). A
+    final progress tick is emitted before the raise, so [--stats]
+    observers see the partial totals. *)
 
 val run :
   ?progress:(stats -> unit) ->
@@ -50,3 +57,41 @@ val run :
 (** [run backends source] replays the source through the back-ends and
     returns the event count with the concatenated warnings (in back-end
     order, like {!Velodrome_analysis.Backend.run_events}). *)
+
+(** {1 Checking one trace file} *)
+
+type warning_view = {
+  human : string;  (** the warning's line, sans indentation *)
+  json : Velodrome_util.Json.t;  (** the warning's JSON object *)
+}
+(** A warning rendered against its stream's name environment, so it can
+    leave the domain that owns that environment. *)
+
+type outcome =
+  | Checked of { events : int; warnings : warning_view list }
+      (** the stream replayed to the end *)
+  | Failed of {
+      events : int;  (** events replayed before the failure *)
+      warnings : warning_view list;  (** warnings over the valid prefix *)
+      message : string;  (** the one-line diagnostic *)
+    }
+      (** the stream was unreadable, corrupt, truncated or ill-formed —
+          exit-2 semantics, with the partial result preserved *)
+
+val error_line : string -> exn -> string
+(** [error_line path e] is the one-line diagnostic for a failure [e]
+    while reading the trace file [path]: [PATH: corrupt binary trace: …],
+    [PATH:LINE: …], [PATH: ill-formed trace: op N …], or the I/O error. *)
+
+val check_file :
+  ?progress:(stats -> unit) ->
+  ?every:int ->
+  ?live_nodes:(unit -> int) ->
+  backends:(Velodrome_trace.Names.t -> Backend.packed list) ->
+  string ->
+  outcome
+(** [check_file ~backends path] opens [path] ({!Source.with_file}),
+    replays it with {!run} through [backends names] (called once, with
+    the stream's name environment), and renders the warnings deduplicated
+    by label. Every failure becomes a [Failed] outcome: header damage and
+    I/O errors (a missing file, a directory) with [events = 0]. *)

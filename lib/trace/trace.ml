@@ -37,34 +37,47 @@ let pp_violation ppf = function
     Format.fprintf ppf "op %d: thread %a ends a block it never began" i Tid.pp
       t
 
+exception Ill_formed of violation
+
+(* Dense per-id state, grown by doubling like the engines' own: the
+   holder of each lock (-1 when free) and each thread's block depth. *)
+module Checker = struct
+  type t = { mutable holder : int array; mutable depth : int array }
+
+  let create () = { holder = Array.make 8 (-1); depth = Array.make 8 0 }
+
+  let grow a k fill =
+    let b = Array.make (max (k + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  let step c i op =
+    match op with
+    | Op.Read _ | Op.Write _ -> ()
+    | Op.Acquire (u, m) ->
+      let k = Lock.to_int m in
+      if k >= Array.length c.holder then c.holder <- grow c.holder k (-1);
+      if c.holder.(k) >= 0 then raise (Ill_formed (Acquire_held (i, m)));
+      c.holder.(k) <- Tid.to_int u
+    | Op.Release (u, m) ->
+      let k = Lock.to_int m in
+      if k >= Array.length c.holder || c.holder.(k) <> Tid.to_int u then
+        raise (Ill_formed (Release_unheld (i, m)));
+      c.holder.(k) <- -1
+    | Op.Begin (u, _) ->
+      let k = Tid.to_int u in
+      if k >= Array.length c.depth then c.depth <- grow c.depth k 0;
+      c.depth.(k) <- c.depth.(k) + 1
+    | Op.End u ->
+      let k = Tid.to_int u in
+      if k >= Array.length c.depth || c.depth.(k) = 0 then
+        raise (Ill_formed (End_without_begin (i, u)));
+      c.depth.(k) <- c.depth.(k) - 1
+end
+
 let check t =
-  let holder : (int, Tid.t) Hashtbl.t = Hashtbl.create 8 in
-  let depth : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let get_depth tid = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
-  let exception Bad of violation in
-  try
-    Array.iteri
-      (fun i op ->
-        match op with
-        | Op.Acquire (u, m) -> (
-          let key = Lock.to_int m in
-          match Hashtbl.find_opt holder key with
-          | Some _ -> raise (Bad (Acquire_held (i, m)))
-          | None -> Hashtbl.replace holder key u)
-        | Op.Release (u, m) -> (
-          let key = Lock.to_int m in
-          match Hashtbl.find_opt holder key with
-          | Some h when Tid.equal h u -> Hashtbl.remove holder key
-          | _ -> raise (Bad (Release_unheld (i, m))))
-        | Op.Begin (u, _) ->
-          Hashtbl.replace depth (Tid.to_int u) (get_depth (Tid.to_int u) + 1)
-        | Op.End u ->
-          let d = get_depth (Tid.to_int u) in
-          if d = 0 then raise (Bad (End_without_begin (i, u)))
-          else Hashtbl.replace depth (Tid.to_int u) (d - 1)
-        | Op.Read _ | Op.Write _ -> ())
-      t;
-    Ok ()
-  with Bad v -> Error v
+  match Array.iteri (Checker.step (Checker.create ())) t with
+  | () -> Ok ()
+  | exception Ill_formed v -> Error v
 
 let is_well_formed t = Result.is_ok (check t)

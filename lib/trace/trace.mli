@@ -38,8 +38,24 @@ type violation =
       (** [rel] at this index by a thread that does not hold the lock *)
   | End_without_begin of int * Tid.t
 
+exception Ill_formed of violation
+
+(** Incremental well-formedness: the one implementation behind {!check},
+    also run by the streaming driver before each event reaches a
+    back-end. *)
+module Checker : sig
+  type t
+
+  val create : unit -> t
+
+  val step : t -> int -> Op.t -> unit
+  (** [step c i op] admits [op] at trace index [i], or raises
+      {!Ill_formed} and leaves [c] unchanged. *)
+end
+
 val check : t -> (unit, violation) result
-(** Well-formedness as described above. *)
+(** Well-formedness as described above: {!Checker.step} over every
+    operation. *)
 
 val is_well_formed : t -> bool
 

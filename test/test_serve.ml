@@ -8,6 +8,7 @@
 open Velodrome_trace
 open Velodrome_analysis
 module Serve = Velodrome_serve.Serve
+module Driver = Velodrome_stream.Driver
 module Workload = Velodrome_workloads.Workload
 
 let check = Alcotest.check
@@ -68,7 +69,7 @@ let reference path =
   Velodrome_stream.Source.with_file path (fun src ->
       let names = src.Velodrome_stream.Source.names in
       let events, warnings =
-        Velodrome_stream.Driver.run (backends names) src
+        Driver.run (backends names) src
       in
       ( events,
         List.map
@@ -77,11 +78,11 @@ let reference path =
 
 let project (r : Serve.result) =
   match r.Serve.outcome with
-  | Serve.Checked { events; warnings } ->
+  | Driver.Checked { events; warnings } ->
     ( r.Serve.path,
       events,
-      List.map (fun (w : Serve.warning_view) -> w.Serve.human) warnings )
-  | Serve.Failed { events; _ } ->
+      List.map (fun (w : Driver.warning_view) -> w.Driver.human) warnings )
+  | Driver.Failed { events; _ } ->
     Alcotest.failf "%s: unexpected Failed after %d events" r.Serve.path events
 
 let serve_projected ~jobs ?queue_capacity paths =
@@ -153,17 +154,17 @@ let test_partial_failure () =
       match List.rev !acc with
       | [ g1; b; g2 ] ->
         (match (g1.Serve.outcome, g2.Serve.outcome) with
-        | Serve.Checked { events = e1; _ }, Serve.Checked { events = e2; _ } ->
+        | Driver.Checked { events = e1; _ }, Driver.Checked { events = e2; _ } ->
           check int "good streams unaffected" full_events e1;
           check int "good streams unaffected (after)" full_events e2
         | _ -> Alcotest.fail "good streams must check");
         (match b.Serve.outcome with
-        | Serve.Failed { events; message; _ } ->
+        | Driver.Failed { events; message; _ } ->
           check bool "partial prefix replayed" true
             (events > 0 && events < full_events);
           check bool "corrupt diagnostic" true
             (String.length message > 0)
-        | Serve.Checked _ -> Alcotest.fail "truncated stream must fail")
+        | Driver.Checked _ -> Alcotest.fail "truncated stream must fail")
       | rs -> Alcotest.failf "expected 3 results, got %d" (List.length rs))
 
 let test_expand_targets () =

@@ -89,6 +89,75 @@ let prop_text_stream =
           Trace_io.write_file names tr path;
           stream_warnings path mk = inmem))
 
+(* --- ill-formed streams -------------------------------------------------------
+
+   One defect spliced into a well-formed generated trace: a duplicated
+   acquire, a release of a just-acquired lock by another thread, or an
+   [End] by a thread that never began a block. The driver must stop at
+   exactly the operation Trace.check blames, before any back-end sees it,
+   so every back-end's warnings are those of the well-formed prefix. *)
+
+let inject (kind, pick) tr =
+  let ops = Trace.ops tr in
+  let n = Array.length ops in
+  let acquires =
+    List.filter_map
+      (fun i ->
+        match ops.(i) with Op.Acquire (u, m) -> Some (i, u, m) | _ -> None)
+      (List.init n Fun.id)
+  in
+  let splice at op =
+    Trace.of_array
+      (Array.concat
+         [ Array.sub ops 0 at; [| op |]; Array.sub ops at (n - at) ])
+  in
+  match (kind, acquires) with
+  | 0, _ :: _ ->
+    let i, u, m = List.nth acquires (pick mod List.length acquires) in
+    splice (i + 1) (Op.Acquire (u, m))
+  | 1, _ :: _ ->
+    let i, u, m = List.nth acquires (pick mod List.length acquires) in
+    splice (i + 1) (Op.Release (Ids.Tid.of_int (Ids.Tid.to_int u + 1), m))
+  | _ ->
+    let fresh =
+      List.fold_left (fun a t -> max a (Ids.Tid.to_int t + 1)) 0
+        (Trace.threads tr)
+    in
+    splice (pick mod (n + 1)) (Op.End (Ids.Tid.of_int fresh))
+
+let violation_index = function
+  | Trace.Acquire_held (i, _) | Trace.Release_unheld (i, _)
+  | Trace.End_without_begin (i, _) ->
+    i
+
+let prop_ill_formed_prefix =
+  QCheck.Test.make ~count:300
+    ~name:
+      "ill-formed stream: driver stops where Trace.check does, prefix warnings"
+    QCheck.(
+      triple (trace_arbitrary diff_cfg) (int_bound 2) (int_bound 1_000_000))
+    (fun (tr, kind, pick) ->
+      let tr = inject (kind, pick) tr in
+      let mk names =
+        List.map (fun (_, mk) -> Backend.make (mk ()) names) all_backends
+      in
+      match Trace.check tr with
+      | Ok () -> QCheck.Test.fail_report "injected defect not detected"
+      | Error v -> (
+        let at = violation_index v in
+        let prefix = Trace.of_array (Array.sub (Trace.ops tr) 0 at) in
+        let expected =
+          List.map project (Backend.run_trace (mk (Names.create ())) prefix)
+        in
+        let names = Names.create () in
+        let bs = mk names in
+        match Driver.run bs (Source.of_trace names tr) with
+        | _ -> QCheck.Test.fail_report "ill-formed stream replayed to the end"
+        | exception Driver.Interrupted { events; error = Trace.Ill_formed v' }
+          ->
+          events = at && v' = v
+          && List.map project (List.concat_map Backend.warnings bs) = expected))
+
 (* --- driver mechanics ------------------------------------------------------- *)
 
 let test_driver_counts_events () =
@@ -166,4 +235,4 @@ let suite =
     :: Alcotest.test_case "source lengths" `Quick test_source_lengths
     :: Alcotest.test_case "multi-backend order" `Quick test_multi_backend_order
     :: List.map (QCheck_alcotest.to_alcotest ~long:false)
-         (diff_props @ [ prop_text_stream ]) )
+         (diff_props @ [ prop_text_stream; prop_ill_formed_prefix ]) )

@@ -14,12 +14,23 @@ let of_trace names trace =
       (fun f -> Trace.iteri (fun index op -> f (Event.make ~index op)) trace);
   }
 
+(* Sniffs the magic on the channel already open, then rewinds. *)
+let starts_with_magic ic =
+  let magic = Trace_codec.magic in
+  let binary =
+    match really_input_string ic (String.length magic) with
+    | m -> m = magic
+    | exception End_of_file -> false
+  in
+  seek_in ic 0;
+  binary
+
 let with_file path k =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      if Trace_codec.is_binary_file path then begin
+      if starts_with_magic ic then begin
         let r = Trace_codec.reader_of_channel ic in
         k
           {

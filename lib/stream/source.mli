@@ -26,8 +26,9 @@ val of_trace : Names.t -> Trace.t -> t
 (** An in-memory trace as a source (for differential testing). *)
 
 val with_file : string -> (t -> 'a) -> 'a
-(** Opens [path], sniffs the format ({!Trace_codec.is_binary_file}) and
-    runs the callback with a source over it; the file is closed when the
-    callback returns or raises. Iteration raises
+(** Opens [path] once, sniffs the format on that channel (a
+    {!Trace_codec.magic} prefix means binary), rewinds, and runs the
+    callback with a source over it; the file is closed when the callback
+    returns or raises. Iteration raises
     {!Trace_codec.Corrupt} or {!Trace_io.Syntax_error} on malformed
     input. *)

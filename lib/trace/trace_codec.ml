@@ -7,12 +7,6 @@ let magic = "VELB"
 let end_marker = "VEND"
 let version = 1
 
-let corrupt_at ic fmt =
-  let pos = try pos_in ic with Sys_error _ -> -1 in
-  Printf.ksprintf
-    (fun msg -> raise (Corrupt (Printf.sprintf "%s (at byte %d)" msg pos)))
-    fmt
-
 (* --- primitive encoders ---------------------------------------------------- *)
 
 (* LEB128: seven payload bits per byte, high bit = continuation. *)
@@ -104,38 +98,113 @@ let write_file names trace path =
 
 (* --- decoding --------------------------------------------------------------- *)
 
-let input_byte' ic =
-  match input_byte ic with
-  | b -> b
-  | exception End_of_file -> corrupt_at ic "truncated input"
+(* A reader pulls its input through this buffer: one [input] call per chunk
+   instead of one locked channel call per byte. [base] is the file offset
+   of [buf.[0]], so [base + pos] is the number of bytes consumed — the
+   offset every [Corrupt] message reports. *)
+type source = {
+  ic : in_channel;
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable lim : int;
+  mutable base : int;
+}
 
-let input_varint ic =
-  let rec go shift acc =
-    if shift > Sys.int_size - 7 then corrupt_at ic "varint too large";
-    let b = input_byte' ic in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
+let chunk = 65536
+
+(* Sized to the bytes left when the length is known, so a short stream
+   does not pin a full chunk. *)
+let source_of_channel ic =
+  let base = pos_in ic in
+  let size =
+    match in_channel_length ic - base with
+    | n when n > 0 -> min chunk n
+    | _ | (exception Sys_error _) -> chunk
   in
-  go 0 0
+  { ic; buf = Bytes.create size; pos = 0; lim = 0; base }
 
-let input_zigzag ic = unzigzag (input_varint ic)
+let corrupt_at s fmt =
+  Printf.ksprintf
+    (fun msg ->
+      raise (Corrupt (Printf.sprintf "%s (at byte %d)" msg (s.base + s.pos))))
+    fmt
 
-let input_name ic =
-  let len = input_varint ic in
-  match really_input_string ic len with
-  | s -> s
-  | exception End_of_file -> corrupt_at ic "truncated name (%d bytes)" len
+(* Moves the window past the consumed bytes; false at end of input. *)
+let refill s =
+  s.base <- s.base + s.lim;
+  s.pos <- 0;
+  s.lim <- input s.ic s.buf 0 (Bytes.length s.buf);
+  s.lim > 0
 
-let input_dict ic tbl =
-  let count = input_varint ic in
+let[@inline never] input_byte_slow s =
+  if not (refill s) then corrupt_at s "truncated input";
+  s.pos <- 1;
+  Char.code (Bytes.unsafe_get s.buf 0)
+
+let input_byte' s =
+  let pos = s.pos in
+  if pos < s.lim then begin
+    s.pos <- pos + 1;
+    Char.code (Bytes.unsafe_get s.buf pos)
+  end
+  else input_byte_slow s
+
+(* Exactly [n] bytes, copied out chunk by chunk so allocation stays bounded
+   by the bytes actually present; [None] (with everything consumed) if the
+   input ends first. *)
+let input_string s n =
+  if n <= s.lim - s.pos then begin
+    let str = Bytes.sub_string s.buf s.pos n in
+    s.pos <- s.pos + n;
+    Some str
+  end
+  else begin
+    let out = Buffer.create (s.lim - s.pos) in
+    let rec go need =
+      let avail = min need (s.lim - s.pos) in
+      Buffer.add_subbytes out s.buf s.pos avail;
+      s.pos <- s.pos + avail;
+      if avail = need then Some (Buffer.contents out)
+      else if refill s then go (need - avail)
+      else None
+    in
+    go n
+  end
+
+let input_varint s =
+  let b = input_byte' s in
+  if b < 0x80 then b
+  else begin
+    let acc = ref (b land 0x7f) and shift = ref 7 and more = ref true in
+    while !more do
+      if !shift > Sys.int_size - 7 then corrupt_at s "varint too large";
+      let b = input_byte' s in
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := b land 0x80 <> 0
+    done;
+    !acc
+  end
+
+let input_zigzag s = unzigzag (input_varint s)
+
+let input_name s =
+  let len = input_varint s in
+  if len < 0 then corrupt_at s "bad name length %d" len;
+  match input_string s len with
+  | Some name -> name
+  | None -> corrupt_at s "truncated name (%d bytes)" len
+
+let input_dict s tbl =
+  let count = input_varint s in
   for i = 0 to count - 1 do
-    let s = input_name ic in
-    if Symtab.intern tbl s <> i then
-      corrupt_at ic "duplicate dictionary entry %S" s
+    let name = input_name s in
+    if Symtab.intern tbl name <> i then
+      corrupt_at s "duplicate dictionary entry %S" name
   done
 
 type reader = {
-  ic : in_channel;
+  src : source;
   names : Names.t;
   length : int;
   mutable last_tid : int;
@@ -146,29 +215,30 @@ type reader = {
 }
 
 let reader_of_channel ic =
-  (match really_input_string ic (String.length magic) with
-  | m when m = magic -> ()
-  | m -> corrupt_at ic "bad magic %S (not a binary trace)" m
-  | exception End_of_file -> corrupt_at ic "truncated header");
-  let v = input_varint ic in
+  let s = source_of_channel ic in
+  (match input_string s (String.length magic) with
+  | Some m when m = magic -> ()
+  | Some m -> corrupt_at s "bad magic %S (not a binary trace)" m
+  | None -> corrupt_at s "truncated header");
+  let v = input_varint s in
   if v <> version then
-    corrupt_at ic "unsupported format version %d (expected %d)" v version;
+    corrupt_at s "unsupported format version %d (expected %d)" v version;
   let names = Names.create () in
-  input_dict ic names.Names.vars;
-  input_dict ic names.Names.locks;
-  input_dict ic names.Names.labels;
-  input_dict ic names.Names.sites;
-  let nvol = input_varint ic in
+  input_dict s names.Names.vars;
+  input_dict s names.Names.locks;
+  input_dict s names.Names.labels;
+  input_dict s names.Names.sites;
+  let nvol = input_varint s in
   let prev = ref (-1) in
   for _ = 1 to nvol do
-    let delta = input_varint ic in
-    if delta = 0 then corrupt_at ic "duplicate volatile id";
+    let delta = input_varint s in
+    if delta = 0 then corrupt_at s "duplicate volatile id";
     prev := !prev + delta;
     Hashtbl.replace names.Names.volatiles !prev ()
   done;
-  let length = input_varint ic in
+  let length = input_varint s in
   {
-    ic;
+    src = s;
     names;
     length;
     last_tid = 0;
@@ -181,49 +251,45 @@ let reader_of_channel ic =
 let reader_names r = r.names
 let reader_length r = r.length
 
-let id_of ic name n = if n < 0 then corrupt_at ic "negative %s id" name else n
+(* The running id of one operand kind plus the next delta. *)
+let input_id s kind last =
+  let id = last + input_zigzag s in
+  if id < 0 then corrupt_at s "negative %s id" kind;
+  id
 
+(* Operand deltas update the reader's running ids in place: no closure or
+   option is built per event, only the returned [Op.t]. *)
 let input_op r =
-  let ic = r.ic in
-  let tag = input_byte' ic in
-  if tag land 0xf0 <> 0 then corrupt_at ic "bad event tag 0x%02x" tag;
-  let tid =
-    if tag land 0x08 <> 0 then r.last_tid
-    else begin
-      let t = r.last_tid + input_zigzag ic in
-      r.last_tid <- id_of ic "thread" t;
-      t
-    end
-  in
-  let t = Tid.of_int tid in
-  let operand name last set =
-    let id = id_of ic name (last + input_zigzag ic) in
-    set id;
-    id
-  in
+  let s = r.src in
+  let tag = input_byte' s in
+  if tag land 0xf0 <> 0 then corrupt_at s "bad event tag 0x%02x" tag;
+  if tag land 0x08 = 0 then r.last_tid <- input_id s "thread" r.last_tid;
+  let t = Tid.of_int r.last_tid in
   match tag land 0x07 with
-  | 0 ->
-    Op.Read (t, Var.of_int (operand "variable" r.last_var (fun v -> r.last_var <- v)))
-  | 1 ->
-    Op.Write (t, Var.of_int (operand "variable" r.last_var (fun v -> r.last_var <- v)))
-  | 2 ->
-    Op.Acquire (t, Lock.of_int (operand "lock" r.last_lock (fun v -> r.last_lock <- v)))
-  | 3 ->
-    Op.Release (t, Lock.of_int (operand "lock" r.last_lock (fun v -> r.last_lock <- v)))
+  | (0 | 1) as code ->
+    r.last_var <- input_id s "variable" r.last_var;
+    let x = Var.of_int r.last_var in
+    if code = 0 then Op.Read (t, x) else Op.Write (t, x)
+  | (2 | 3) as code ->
+    r.last_lock <- input_id s "lock" r.last_lock;
+    let m = Lock.of_int r.last_lock in
+    if code = 2 then Op.Acquire (t, m) else Op.Release (t, m)
   | 4 ->
-    Op.Begin (t, Label.of_int (operand "label" r.last_label (fun v -> r.last_label <- v)))
+    r.last_label <- input_id s "label" r.last_label;
+    Op.Begin (t, Label.of_int r.last_label)
   | 5 -> Op.End t
-  | c -> corrupt_at ic "unknown opcode %d" c
+  | c -> corrupt_at s "unknown opcode %d" c
 
 let check_end r =
-  let ic = r.ic in
-  (match really_input_string ic (String.length end_marker) with
-  | m when m = end_marker -> ()
-  | m -> corrupt_at ic "bad end marker %S (file damaged?)" m
-  | exception End_of_file -> corrupt_at ic "truncated input: missing end marker");
-  match input_char ic with
-  | _ -> corrupt_at ic "trailing garbage after end marker"
-  | exception End_of_file -> ()
+  let s = r.src in
+  (match input_string s (String.length end_marker) with
+  | Some m when m = end_marker -> ()
+  | Some m -> corrupt_at s "bad end marker %S (file damaged?)" m
+  | None -> corrupt_at s "truncated input: missing end marker");
+  if s.pos < s.lim || refill s then begin
+    s.pos <- s.pos + 1;
+    corrupt_at s "trailing garbage after end marker"
+  end
 
 let fold_events r ~init ~f =
   if r.consumed then invalid_arg "Trace_codec.fold_events: reader already used";

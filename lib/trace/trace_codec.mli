@@ -29,8 +29,15 @@
     names no event mentions) together with the volatile set.
 
     Readers never trust the input: a wrong magic, an unknown version, a
-    reserved tag bit, an out-of-range id, a missing end marker or bytes
-    past it all raise {!Corrupt} with the file offset. *)
+    reserved tag bit, an out-of-range id, a name longer than the bytes
+    left, a missing end marker or bytes past it all raise {!Corrupt} with
+    the file offset. That offset is the number of bytes consumed when
+    decoding stopped — for a truncated file, its length.
+
+    A reader owns its channel: it reads ahead in chunks of up to 64 KiB
+    into a private buffer (sized down to what is left of a shorter file),
+    so once a reader is created the channel's position says nothing about
+    how far decoding has got, and nothing else should read from it. *)
 
 exception Corrupt of string
 (** Malformed or truncated binary input; the message includes the byte

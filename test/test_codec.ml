@@ -191,6 +191,95 @@ let test_truncated_big_trace () =
   | Some msg -> check bool "truncated" true (contains msg "truncated")
   | None -> Alcotest.fail "truncated stream accepted"
 
+let test_hostile_name_length () =
+  (* A 13-byte header declaring a ~2^46-byte name: the decoder must report
+     the truncation instead of allocating what the length promises. *)
+  let huge = "VELB\x01\x01\xff\xff\xff\xff\xff\xff\x0f" in
+  (match corrupt_message huge with
+  | Some msg ->
+    check bool "truncated name" true
+      (String.starts_with ~prefix:"truncated name (" msg);
+    check bool "offset" true (String.ends_with ~suffix:"(at byte 13)" msg)
+  | None -> Alcotest.fail "huge name length accepted");
+  (* Nine varint bytes overflow into a negative length. *)
+  let negative = "VELB\x01\x01" ^ String.make 8 '\xff' ^ "\x7f" in
+  match corrupt_message negative with
+  | Some msg -> check bool "bad length" true (contains msg "bad name length")
+  | None -> Alcotest.fail "negative name length accepted"
+
+(* --- refill boundaries ------------------------------------------------------ *)
+
+(* The decoder reads its input in chunks of this many bytes. *)
+let chunk = 65536
+
+(* A generated trace whose encoding spans more than three chunks. *)
+let big_encoding =
+  lazy
+    (let tr =
+       Gen.run (Velodrome_util.Rng.create 11)
+         { Gen.default with steps = 120_000 }
+     in
+     let names, tr =
+       Trace_io.of_string (Trace_io.to_string (Names.create ()) tr)
+     in
+     (names, tr, encode_bytes names tr))
+
+let test_big_roundtrip () =
+  let names, tr, s = Lazy.force big_encoding in
+  check bool "more than three chunks" true
+    (String.length s > (3 * chunk) + 64);
+  let names', tr' = decode_bytes s in
+  check bool "ops equal" true (Trace.to_list tr' = Trace.to_list tr);
+  check bool "name environment equal" true (names_equal names names')
+
+let stream_file path =
+  In_channel.with_open_bin path (fun ic ->
+      Trace_codec.iter_events (Trace_codec.reader_of_channel ic) ignore)
+
+(* Every cut reports exactly the bytes consumed, which for a prefix is the
+   whole prefix — including cuts just before, at and after a refill. *)
+let test_cuts_report_length () =
+  let _, _, s = Lazy.force big_encoding in
+  let n = String.length s in
+  let window k = List.init 129 (fun d -> (k * chunk) + d - 64) in
+  let rng = Velodrome_util.Rng.create 3 in
+  let cuts =
+    List.concat_map window [ 1; 2; 3 ]
+    @ List.init 200 (fun _ -> Velodrome_util.Rng.int rng n)
+  in
+  with_temp_file (fun path ->
+      List.iter
+        (fun len ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_substring oc s 0 len);
+          let suffix = Printf.sprintf "(at byte %d)" len in
+          match stream_file path with
+          | exception Trace_codec.Corrupt msg ->
+            if not (String.ends_with ~suffix msg) then
+              Alcotest.failf "cut at %d: %s" len msg
+          | () -> Alcotest.failf "cut at %d accepted" len)
+        cuts)
+
+(* --- allocation ------------------------------------------------------------- *)
+
+(* Streaming decode allocates the returned events and nothing per event
+   beyond them: an [Op.t] (at most 3 words) plus an [Event.t] (4 words). *)
+let test_decode_allocation () =
+  let _, tr, s = Lazy.force big_encoding in
+  let events = Trace.length tr in
+  check bool "at least 100k events" true (events >= 100_000);
+  with_temp_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      In_channel.with_open_bin path (fun ic ->
+          let r = Trace_codec.reader_of_channel ic in
+          let w0 = Gc.minor_words () in
+          Trace_codec.iter_events r ignore;
+          let words = Gc.minor_words () -. w0 in
+          check bool
+            (Printf.sprintf "%.0f words for %d events" words events)
+            true
+            (words <= float_of_int ((7 * events) + 1024))))
+
 let suite =
   ( "codec",
     [
@@ -207,6 +296,10 @@ let suite =
       Alcotest.test_case "duplicate dictionary" `Quick
         test_duplicate_dictionary;
       Alcotest.test_case "truncated big trace" `Quick test_truncated_big_trace;
+      Alcotest.test_case "hostile name length" `Quick test_hostile_name_length;
+      Alcotest.test_case "big round-trip" `Quick test_big_roundtrip;
+      Alcotest.test_case "cuts report length" `Quick test_cuts_report_length;
+      Alcotest.test_case "decode allocation" `Quick test_decode_allocation;
       QCheck_alcotest.to_alcotest prop_roundtrip_exact;
       QCheck_alcotest.to_alcotest prop_roundtrip_matches_text;
     ] )

@@ -1,272 +1,29 @@
-(* The benchmark harness.
+(* The reproduction-study harness: regenerates the tracked BENCH_*.json
+   artifacts.
 
-   Two parts:
+   - [--engine]: BENCH_engine.json, the three-way engine comparison
+     (Engine, AeroDrome, basic Figure 2) in events/sec and bytes/event;
+   - [--statics]: BENCH_statics.json, what the static pre-pass proves and
+     how many dynamic events it saves;
+   - [--predict]: BENCH_predict.json, witness-guided prediction against
+     adversarial scheduling;
+   - [--serve]: BENCH_serve.json, the serve pool's 1-to-8 domain sweep.
 
-   1. Bechamel micro-benchmarks — one Test.make per table/figure of the
-      paper's evaluation, plus ablation benches for the design choices
-      DESIGN.md calls out (merge on/off, GC on/off, packed steps vs the
-      basic engine). These measure the per-run cost of each experiment's
-      core computation.
+   No suite flag runs all four; [--smoke] shrinks every fixture. The paper's
+   tables and studies are printed by [velodrome table1], [table2] and
+   [study]; the end-to-end speed benchmark is [perfbench/].
 
-   2. Full regeneration of every table and study, printed in the paper's
-      row format (Table 1, Table 2, the adversarial-coverage study S2 and
-      the defect-injection study S3).
+   Run with: dune exec bench/main.exe -- [--smoke] [--engine | ...] *)
 
-   Run with: dune exec bench/main.exe *)
-
-(* Raw monotonic timestamps via the shared util funnel; aliased before
-   the opens because Toolkit has a [Monotonic_clock] MEASURE instance of
-   its own and the two must not be confused. *)
 module Mclock = Velodrome_util.Mclock
-
-open Bechamel
-open Toolkit
 open Velodrome_trace
 open Velodrome_analysis
 open Velodrome_workloads
 
-(* --- workload fixtures ---------------------------------------------------- *)
+(* --- shared helpers --------------------------------------------------------- *)
 
-let fixture name =
-  let w = Option.get (Workload.find name) in
-  let program = w.Workload.build Workload.Medium in
-  (w, program)
-
-(* A recorded trace for offline replay benches (engine ablations). *)
-let recorded =
-  lazy
-    (let _, program = fixture "multiset" in
-     let res =
-       Velodrome_harness.Common.run_once ~seed:42 ~record_trace:true program
-         (fun _ -> [])
-     in
-     ( program.Velodrome_sim.Ast.names,
-       Trace.to_list (Option.get res.Velodrome_sim.Run.trace) ))
-
-let replay ~merge ~names ops =
-  let eng =
-    Velodrome_core.Engine.create
-      ~config:{ Velodrome_core.Engine.merge; record_graphs = false }
-      names
-  in
-  List.iteri
-    (fun index op -> Velodrome_core.Engine.on_event eng (Event.make ~index op))
-    ops;
-  Velodrome_core.Engine.finish eng;
-  eng
-
-let replay_basic ~gc ~names ops =
-  let eng =
-    Velodrome_core.Basic.create ~config:{ Velodrome_core.Basic.gc } names
-  in
-  List.iteri
-    (fun index op -> Velodrome_core.Basic.on_event eng (Event.make ~index op))
-    ops;
-  Velodrome_core.Basic.finish eng;
-  eng
-
-let run_with name backend_of_names =
-  let _, program = fixture name in
-  ignore
-    (Velodrome_harness.Common.run_once ~seed:42 program backend_of_names)
-
-(* --- Bechamel tests: one per table / figure ------------------------------- *)
-
-(* Table 1 (left half): analysis slowdowns. One representative workload
-   run per analysis; the full 15-row table is printed below. *)
-let test_table1_slowdowns =
-  Test.make_grouped ~name:"table1/slowdowns"
-    [
-      Test.make ~name:"base" (Staged.stage (fun () -> run_with "multiset" (fun _ -> [])));
-      Test.make ~name:"empty"
-        (Staged.stage (fun () ->
-             run_with "multiset" (fun n -> [ Backend.make (module Empty) n ])));
-      Test.make ~name:"eraser"
-        (Staged.stage (fun () ->
-             run_with "multiset" (fun n ->
-                 [ Backend.make (Velodrome_eraser.Eraser.backend ()) n ])));
-      Test.make ~name:"atomizer"
-        (Staged.stage (fun () ->
-             run_with "multiset" (fun n ->
-                 [ Backend.make (Velodrome_atomizer.Atomizer.backend ()) n ])));
-      Test.make ~name:"velodrome"
-        (Staged.stage (fun () ->
-             run_with "multiset" (fun n ->
-                 [ Backend.make (Velodrome_core.Engine.backend ()) n ])));
-      Test.make ~name:"hb"
-        (Staged.stage (fun () ->
-             run_with "multiset" (fun n ->
-                 [ Backend.make (Velodrome_hbrace.Hbrace.backend ()) n ])));
-    ]
-
-(* Table 1 (right half): node allocation — the merge ablation. *)
-let test_table1_nodes =
-  Test.make_grouped ~name:"table1/nodes"
-    [
-      Test.make ~name:"replay-without-merge"
-        (Staged.stage (fun () ->
-             let names, ops = Lazy.force recorded in
-             ignore (replay ~merge:false ~names ops)));
-      Test.make ~name:"replay-with-merge"
-        (Staged.stage (fun () ->
-             let names, ops = Lazy.force recorded in
-             ignore (replay ~merge:true ~names ops)));
-    ]
-
-(* Ablations: the basic Figure 2 engine with and without reference
-   counting, against the optimized engine on the same trace. *)
-let test_ablation_engines =
-  Test.make_grouped ~name:"ablation/engines"
-    [
-      Test.make ~name:"basic-gc"
-        (Staged.stage (fun () ->
-             let names, ops = Lazy.force recorded in
-             ignore (replay_basic ~gc:true ~names ops)));
-      Test.make ~name:"basic-nogc"
-        (Staged.stage (fun () ->
-             let names, ops = Lazy.force recorded in
-             ignore (replay_basic ~gc:false ~names ops)));
-      Test.make ~name:"optimized"
-        (Staged.stage (fun () ->
-             let names, ops = Lazy.force recorded in
-             ignore (replay ~merge:true ~names ops)));
-    ]
-
-(* Table 2: the warning-classification pipeline on one workload/seed. *)
-let test_table2 =
-  Test.make ~name:"table2/warnings"
-    (Staged.stage (fun () ->
-         run_with "multiset" (fun n ->
-             [
-               Backend.make (Velodrome_atomizer.Atomizer.backend ()) n;
-               Backend.make (Velodrome_core.Engine.backend ()) n;
-             ])))
-
-(* Ablation: RoadRunner's thread-local filtering ("dramatically improves
-   the performance of the analyses, although ... slightly unsound"). *)
-let test_ablation_threadlocal =
-  Test.make_grouped ~name:"ablation/thread-local-filter"
-    [
-      Test.make ~name:"velodrome-unfiltered"
-        (Staged.stage (fun () ->
-             run_with "jbb" (fun n ->
-                 [ Backend.make (Velodrome_core.Engine.backend ()) n ])));
-      Test.make ~name:"velodrome-filtered"
-        (Staged.stage (fun () ->
-             run_with "jbb" (fun n ->
-                 [
-                   Filters.thread_local
-                     (Backend.make (Velodrome_core.Engine.backend ()) n);
-                 ])));
-    ]
-
-(* Ablation: the §5 pause-policy alternatives on one adversarial run. *)
-let adversarial_multiset pause_on =
-  let _, program = fixture "multiset" in
-  let config =
-    {
-      Velodrome_sim.Run.default_config with
-      policy = Velodrome_sim.Run.Random 42;
-      adversarial = true;
-      pause_slots = 500;
-      pause_on;
-    }
-  in
-  ignore
-    (Velodrome_sim.Run.run ~config program
-       [
-         Backend.make
-           (Velodrome_atomizer.Atomizer.backend ())
-           program.Velodrome_sim.Ast.names;
-         Backend.make
-           (Velodrome_core.Engine.backend ())
-           program.Velodrome_sim.Ast.names;
-       ])
-
-let test_ablation_pause_policy =
-  Test.make_grouped ~name:"ablation/pause-policy"
-    [
-      Test.make ~name:"pause-all"
-        (Staged.stage (fun () ->
-             adversarial_multiset Velodrome_sim.Run.Pause_all));
-      Test.make ~name:"pause-writes-only"
-        (Staged.stage (fun () ->
-             adversarial_multiset Velodrome_sim.Run.Pause_writes_only));
-    ]
-
-(* Study S3: one injected-defect detection run. *)
-let test_study_injection =
-  Test.make ~name:"study/injection"
-    (Staged.stage (fun () ->
-         let w = Option.get (Workload.find "elevator") in
-         match Velodrome_inject.Inject.mutants w Workload.Medium with
-         | m :: _ ->
-           ignore
-             (Velodrome_harness.Common.run_once ~seed:1 ~adversarial:true
-                m.Velodrome_inject.Inject.program
-                (fun n ->
-                  [
-                    Backend.make (Velodrome_atomizer.Atomizer.backend ()) n;
-                    Backend.make (Velodrome_core.Engine.backend ()) n;
-                  ]))
-         | [] -> ()))
-
-(* --- Bechamel driver ------------------------------------------------------- *)
-
-let benchmark () =
-  let tests =
-    Test.make_grouped ~name:"velodrome"
-      [
-        test_table1_slowdowns;
-        test_table1_nodes;
-        test_ablation_engines;
-        test_ablation_threadlocal;
-        test_ablation_pause_policy;
-        test_table2;
-        test_study_injection;
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  Printf.printf "%-45s %15s\n" "benchmark" "time/run";
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> e
-          | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-        else Printf.sprintf "%8.0f ns" ns
-      in
-      Printf.printf "%-45s %15s\n" name pretty)
-    (List.sort compare rows)
-
-(* --- Streaming ingestion throughput (BENCH_stream.json) --------------------- *)
-
-(* Replays recorded workload traces through the textual parser, the
-   binary decoder, the bounded-memory streaming checker and the
-   in-memory engine, and emits events/sec for each so the ingestion
-   perf trajectory has a baseline. *)
-
+(* Best-of-[repeats] wall time of [f] in seconds, on the monotonic clock
+   (gettimeofday can step under NTP). *)
 let time_best ~repeats f =
   let best = ref infinity in
   for _ = 1 to repeats do
@@ -285,110 +42,6 @@ let record_workload_trace name size seed =
       (fun _ -> [])
   in
   (program.Velodrome_sim.Ast.names, Option.get res.Velodrome_sim.Run.trace)
-
-type stream_row = {
-  fixture : string;
-  size : string;
-  events : int;
-  text_bytes : int;
-  binary_bytes : int;
-  text_parse_eps : float;
-  binary_decode_eps : float;
-  stream_check_eps : float;
-  inmem_check_eps : float;
-}
-
-let engine_backend names =
-  [ Backend.make (Velodrome_core.Engine.backend ()) names ]
-
-let stream_bench ~repeats ~size ~size_name fixture =
-  let names, trace = record_workload_trace fixture size 42 in
-  let txt = Filename.temp_file "velodrome_bench" ".trace" in
-  let velb = Filename.temp_file "velodrome_bench" ".velb" in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove txt with Sys_error _ -> ());
-      try Sys.remove velb with Sys_error _ -> ())
-    (fun () ->
-      Trace_io.write_file names trace txt;
-      Trace_codec.write_file names trace velb;
-      let events = Trace.length trace in
-      let eps t = float_of_int events /. t in
-      let t_text =
-        time_best ~repeats (fun () -> ignore (Trace_io.read_file txt))
-      in
-      let t_binary =
-        time_best ~repeats (fun () -> ignore (Trace_codec.read_file velb))
-      in
-      let t_stream =
-        time_best ~repeats (fun () ->
-            Velodrome_stream.Source.with_file velb (fun src ->
-                ignore
-                  (Velodrome_stream.Driver.run
-                     (engine_backend src.Velodrome_stream.Source.names)
-                     src)))
-      in
-      let t_inmem =
-        time_best ~repeats (fun () ->
-            let names, tr = Trace_codec.read_file velb in
-            ignore (Backend.run_trace (engine_backend names) tr))
-      in
-      {
-        fixture;
-        size = size_name;
-        events;
-        text_bytes = (Unix.stat txt).Unix.st_size;
-        binary_bytes = (Unix.stat velb).Unix.st_size;
-        text_parse_eps = eps t_text;
-        binary_decode_eps = eps t_binary;
-        stream_check_eps = eps t_stream;
-        inmem_check_eps = eps t_inmem;
-      })
-
-let stream_json_row ppf r =
-  Format.fprintf ppf
-    "  {@[<v 1>@ \"fixture\": %S,@ \"size\": %S,@ \"events\": %d,@ \
-     \"text_bytes\": %d,@ \"binary_bytes\": %d,@ \
-     \"text_parse_events_per_sec\": %.0f,@ \
-     \"binary_decode_events_per_sec\": %.0f,@ \
-     \"stream_check_events_per_sec\": %.0f,@ \
-     \"inmem_check_events_per_sec\": %.0f@]@ }"
-    r.fixture r.size r.events r.text_bytes r.binary_bytes r.text_parse_eps
-    r.binary_decode_eps r.stream_check_eps r.inmem_check_eps
-
-let emit_stream_json path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      Format.fprintf ppf "[@[<v>@ %a@]@ ]@."
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           stream_json_row)
-        rows)
-
-let run_stream_benches ~smoke =
-  let rows =
-    if smoke then
-      [ stream_bench ~repeats:2 ~size:Workload.Small ~size_name:"small"
-          "multiset" ]
-    else
-      List.map
-        (stream_bench ~repeats:3 ~size:Workload.Medium ~size_name:"medium")
-        [ "multiset"; "jbb" ]
-  in
-  Printf.printf "%-12s %-7s %9s %10s %10s %12s %12s %12s %12s\n" "fixture"
-    "size" "events" "text-B" "bin-B" "text-ev/s" "bin-ev/s" "stream-ev/s"
-    "inmem-ev/s";
-  List.iter
-    (fun r ->
-      Printf.printf "%-12s %-7s %9d %10d %10d %12.0f %12.0f %12.0f %12.0f\n"
-        r.fixture r.size r.events r.text_bytes r.binary_bytes r.text_parse_eps
-        r.binary_decode_eps r.stream_check_eps r.inmem_check_eps)
-    rows;
-  emit_stream_json "BENCH_stream.json" rows;
-  Printf.printf "wrote BENCH_stream.json (%d fixtures)\n" (List.length rows)
 
 (* --- Engine throughput (BENCH_engine.json) ----------------------------------- *)
 
@@ -615,7 +268,6 @@ type statics_row = {
   proved_cycle_free : int;  (** conflict-graph cycle-freedom *)
   may_violate : int;
   unknown : int;
-  proved_global : int;  (** under the legacy whole-variable guard rule *)
   races : int;  (** static race pairs (pairwise rule) *)
   dead_sites : int;  (** sites the value analysis proves unreachable *)
   race_pair_delta : int;
@@ -631,10 +283,8 @@ type statics_row = {
   events_suppressed_lipton : int;
       (** with the proved set restricted to Lipton-proved blocks — the
           delta against [events_suppressed] is what cycle-freedom buys *)
-  events_suppressed_global : int;
   suppressed_pct : float;
   suppressed_pct_lipton : float;
-  suppressed_pct_global : float;
   unfiltered_sec : float;
   filtered_sec : float;
   events_per_sec : float;
@@ -643,38 +293,19 @@ type statics_row = {
   warnings_identical : bool;
 }
 
-(* The bench artifact records how long the static pre-pass itself takes;
-   gettimeofday can step under NTP, so this one is measured on the
-   monotonic clock. *)
-let time_ms_best ~repeats f =
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let t0 = Mclock.now_ns () in
-    f ();
-    let dt = Int64.to_float (Int64.sub (Mclock.now_ns ()) t0) /. 1e6 in
-    if dt < !best then best := dt
-  done;
-  !best
-
-(* Each fixture is analyzed under both mover rules; the delta between
-   [proved] and [proved_global] (and between the two suppressed-event
-   counts) is the precision the pairwise race detector buys. Timing runs
-   use the pairwise filter only. *)
 let statics_bench ~repeats ~size ~size_name fixture =
   let w = Option.get (Workload.find fixture) in
   let program = w.Workload.build size in
   let names = program.Velodrome_sim.Ast.names in
   let st = Statics.analyze program in
-  let st_global =
-    Statics.analyze ~rule:Velodrome_statics.Movers.Global_guard program
-  in
   let st_novalues = Statics.analyze ~values:false program in
   let analysis_ms =
-    time_ms_best ~repeats (fun () -> ignore (Statics.analyze program))
+    1000. *. time_best ~repeats (fun () -> ignore (Statics.analyze program))
   in
   let values_analysis_ms =
-    time_ms_best ~repeats (fun () ->
-        ignore (Velodrome_statics.Values.analyze program))
+    1000.
+    *. time_best ~repeats (fun () ->
+           ignore (Velodrome_statics.Values.analyze program))
   in
   let filter_of ?lipton_only st b =
     let proved, suppress_var = Statics.filter_predicates ?lipton_only st in
@@ -696,7 +327,6 @@ let statics_bench ~repeats ~size ~size_name fixture =
   let events_total = count_with Fun.id in
   let events_filtered = count_with static_filter in
   let events_filtered_lipton = count_with (filter_of ~lipton_only:true st) in
-  let events_filtered_global = count_with (filter_of st_global) in
   let velodrome_run wrap =
     (Velodrome_sim.Run.run ~config program
        [ wrap (Backend.make (Velodrome_core.Engine.backend ()) names) ])
@@ -714,7 +344,6 @@ let statics_bench ~repeats ~size ~size_name fixture =
   in
   let suppressed = events_total - events_filtered in
   let suppressed_lipton = events_total - events_filtered_lipton in
-  let suppressed_global = events_total - events_filtered_global in
   let pct n =
     if events_total = 0 then 0.
     else 100. *. float_of_int n /. float_of_int events_total
@@ -728,7 +357,6 @@ let statics_bench ~repeats ~size ~size_name fixture =
     proved_cycle_free = Statics.proved_cycle_free_count st;
     may_violate = Statics.may_violate_count st;
     unknown = Statics.unknown_count st;
-    proved_global = Statics.proved_count st_global;
     races = Statics.race_pair_count st;
     dead_sites = Statics.dead_site_count st;
     race_pair_delta =
@@ -740,10 +368,8 @@ let statics_bench ~repeats ~size ~size_name fixture =
     events_total;
     events_suppressed = suppressed;
     events_suppressed_lipton = suppressed_lipton;
-    events_suppressed_global = suppressed_global;
     suppressed_pct = pct suppressed;
     suppressed_pct_lipton = pct suppressed_lipton;
-    suppressed_pct_global = pct suppressed_global;
     unfiltered_sec;
     filtered_sec;
     events_per_sec =
@@ -765,8 +391,6 @@ let statics_row_json r =
       ("proved_cycle_free", Int r.proved_cycle_free);
       ("may_violate", Int r.may_violate);
       ("unknown", Int r.unknown);
-      ("proved_global", Int r.proved_global);
-      ("proved_delta", Int (r.proved - r.proved_global));
       ("races", Int r.races);
       ("dead_sites", Int r.dead_sites);
       ("race_pair_delta", Int r.race_pair_delta);
@@ -776,10 +400,8 @@ let statics_row_json r =
       ("events_total", Int r.events_total);
       ("events_suppressed", Int r.events_suppressed);
       ("events_suppressed_lipton", Int r.events_suppressed_lipton);
-      ("events_suppressed_global", Int r.events_suppressed_global);
       ("suppressed_pct", Float r.suppressed_pct);
       ("suppressed_pct_lipton", Float r.suppressed_pct_lipton);
-      ("suppressed_pct_global", Float r.suppressed_pct_global);
       ("unfiltered_sec", Float r.unfiltered_sec);
       ("filtered_sec", Float r.filtered_sec);
       ("events_per_sec", Float r.events_per_sec);
@@ -802,20 +424,18 @@ let run_statics_benches ~smoke =
         fixtures
   in
   Printf.printf
-    "%-12s %-7s %7s %9s %11s %6s %6s %7s %9s %9s %9s %7s %7s %8s %9s %10s\n"
-    "fixture" "size" "blocks" "lip/cf" "prv/global" "races" "dead"
-    "vals-d" "anls-ms" "vals-ms" "events" "supp-%" "lip-%" "glob-%"
-    "speedup" "warn-same";
+    "%-12s %-7s %7s %9s %6s %6s %6s %7s %9s %9s %9s %7s %7s %9s %10s\n"
+    "fixture" "size" "blocks" "lip/cf" "proved" "races" "dead" "vals-d"
+    "anls-ms" "vals-ms" "events" "supp-%" "lip-%" "speedup" "warn-same";
   List.iter
     (fun r ->
       Printf.printf
-        "%-12s %-7s %7d %5d/%3d %7d/%3d %6d %6d %3d/%3d %9.2f %9.2f %9d \
-         %6.1f%% %6.1f%% %7.1f%% %8.2fx %10b\n"
+        "%-12s %-7s %7d %5d/%3d %6d %6d %6d %3d/%3d %9.2f %9.2f %9d \
+         %6.1f%% %6.1f%% %8.2fx %10b\n"
         r.s_fixture r.s_size r.blocks r.proved_lipton r.proved_cycle_free
-        r.proved r.proved_global r.races r.dead_sites r.race_pair_delta
-        r.proved_values_delta r.analysis_ms r.values_analysis_ms
-        r.events_total r.suppressed_pct r.suppressed_pct_lipton
-        r.suppressed_pct_global r.speedup r.warnings_identical)
+        r.proved r.races r.dead_sites r.race_pair_delta r.proved_values_delta
+        r.analysis_ms r.values_analysis_ms r.events_total r.suppressed_pct
+        r.suppressed_pct_lipton r.speedup r.warnings_identical)
     rows;
   let oc = open_out "BENCH_statics.json" in
   Fun.protect
@@ -882,7 +502,7 @@ let predict_bench ~seeds ~fixture program =
   let st = Statics.analyze program in
   let p = ref (Predict.run program st) in
   let predict_ms =
-    time_ms_best ~repeats:1 (fun () -> p := Predict.run program st)
+    1000. *. time_best ~repeats:1 (fun () -> p := Predict.run program st)
   in
   let p = !p in
   let preds = Predict.predictions p in
@@ -1172,69 +792,23 @@ let run_serve_benches ~smoke =
       Printf.printf "wrote BENCH_serve.json (%d sweeps, %d cores)\n"
         (List.length rows) cores)
 
-(* --- Full table regeneration ------------------------------------------------ *)
-
-let full_run () =
-  print_endline "=== Bechamel micro-benchmarks (one per table/figure) ===";
-  benchmark ();
-  print_newline ();
-  print_endline "=== Table 1: slowdowns and node statistics ===";
-  Velodrome_harness.Table1.print Format.std_formatter
-    (Velodrome_harness.Table1.run ());
-  print_newline ();
-  print_endline "=== Table 2: warnings (all methods assumed atomic) ===";
-  Velodrome_harness.Table2.print Format.std_formatter
-    (Velodrome_harness.Table2.run ());
-  print_newline ();
-  print_endline "=== Study S2: adversarial scheduling coverage ===";
-  Velodrome_harness.Study.print_coverage Format.std_formatter
-    (Velodrome_harness.Study.coverage ());
-  print_newline ();
-  print_endline "=== Study S3: injected synchronization defects ===";
-  Velodrome_harness.Study.print_injection Format.std_formatter
-    (Velodrome_harness.Study.injection ());
-  print_newline ();
-  print_endline "=== Study S4: single-core scheduling sensitivity ===";
-  Velodrome_harness.Study.print_single_core Format.std_formatter
-    (Velodrome_harness.Study.single_core ())
+let suites =
+  [
+    ("--engine", "Engine checking throughput", run_engine_benches);
+    ("--statics", "Static instrumentation pruning", run_statics_benches);
+    ( "--predict",
+      "Witness-guided prediction vs adversarial scheduling",
+      run_predict_benches );
+    ("--serve", "Multicore serve throughput", run_serve_benches);
+  ]
 
 let () =
-  let smoke = Array.exists (( = ) "--smoke") Sys.argv in
-  let engine_only = Array.exists (( = ) "--engine") Sys.argv in
-  let statics_only = Array.exists (( = ) "--statics") Sys.argv in
-  let predict_only = Array.exists (( = ) "--predict") Sys.argv in
-  let serve_only = Array.exists (( = ) "--serve") Sys.argv in
-  if serve_only then begin
-    print_endline "=== Multicore serve throughput ===";
-    run_serve_benches ~smoke
-  end
-  else if engine_only then begin
-    print_endline "=== Engine checking throughput ===";
-    run_engine_benches ~smoke
-  end
-  else if statics_only then begin
-    print_endline "=== Static instrumentation pruning ===";
-    run_statics_benches ~smoke
-  end
-  else if predict_only then begin
-    print_endline "=== Witness-guided prediction vs adversarial scheduling ===";
-    run_predict_benches ~smoke
-  end
-  else begin
-    print_endline "=== Streaming ingestion throughput ===";
-    run_stream_benches ~smoke;
-    print_newline ();
-    print_endline "=== Engine checking throughput ===";
-    run_engine_benches ~smoke;
-    print_newline ();
-    print_endline "=== Static instrumentation pruning ===";
-    run_statics_benches ~smoke;
-    print_newline ();
-    print_endline "=== Witness-guided prediction vs adversarial scheduling ===";
-    run_predict_benches ~smoke;
-    print_newline ();
-    print_endline "=== Multicore serve throughput ===";
-    run_serve_benches ~smoke;
-    print_newline ();
-    if not smoke then full_run ()
-  end
+  let given flag = Array.exists (( = ) flag) Sys.argv in
+  let smoke = given "--smoke" in
+  let chosen = List.filter (fun (flag, _, _) -> given flag) suites in
+  List.iteri
+    (fun i (_, title, run) ->
+      if i > 0 then print_newline ();
+      Printf.printf "=== %s ===\n%!" title;
+      run ~smoke)
+    (if chosen = [] then suites else chosen)

@@ -6,7 +6,7 @@
    a malformed artifact.
 
    Usage: validate_bench.exe FILE KIND [FILE KIND ...]
-   where KIND is one of stream | engine | statics (flat row tables) or
+   where KIND is one of engine | statics | serve (flat row tables) or
    races | analyze | predict (nested report documents). *)
 
 open Velodrome_util
@@ -16,18 +16,6 @@ type field_ty = S | I | N | B
    [Float] are accepted. *)
 
 let schema = function
-  | "stream" ->
-    [
-      ("fixture", S);
-      ("size", S);
-      ("events", I);
-      ("text_bytes", I);
-      ("binary_bytes", I);
-      ("text_parse_events_per_sec", N);
-      ("binary_decode_events_per_sec", N);
-      ("stream_check_events_per_sec", N);
-      ("inmem_check_events_per_sec", N);
-    ]
   | "engine" ->
     [
       ("fixture", S);
@@ -51,8 +39,6 @@ let schema = function
       ("proved_cycle_free", I);
       ("may_violate", I);
       ("unknown", I);
-      ("proved_global", I);
-      ("proved_delta", I);
       ("races", I);
       ("dead_sites", I);
       ("race_pair_delta", I);
@@ -62,10 +48,8 @@ let schema = function
       ("events_total", I);
       ("events_suppressed", I);
       ("events_suppressed_lipton", I);
-      ("events_suppressed_global", I);
       ("suppressed_pct", N);
       ("suppressed_pct_lipton", N);
-      ("suppressed_pct_global", N);
       ("unfiltered_sec", N);
       ("filtered_sec", N);
       ("events_per_sec", N);

@@ -1,3 +1,4 @@
+open Velodrome_util
 open Velodrome_trace
 open Velodrome_trace.Ids
 open Velodrome_analysis

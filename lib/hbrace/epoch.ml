@@ -11,7 +11,7 @@ let make ~tid ~clock =
 
 let tid e = e lsr clock_bits
 let clock e = e land ((1 lsl clock_bits) - 1)
-let leq_vc e c = is_none e || clock e <= Vclock.get c (tid e)
+let leq_vc e c = is_none e || clock e <= Velodrome_util.Vclock.get c (tid e)
 let equal = Int.equal
 
 let pp ppf e =

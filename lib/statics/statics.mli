@@ -46,10 +46,8 @@ type block = {
 
 type t
 
-val analyze : ?rule:Movers.rule -> ?values:bool -> Velodrome_sim.Ast.program -> t
-(** [rule] defaults to {!Movers.Pairwise}; pass {!Movers.Global_guard} to
-    reproduce the legacy whole-variable common-lock classification for
-    precision-delta comparisons. [values] (default [true]) runs the
+val analyze : ?values:bool -> Velodrome_sim.Ast.program -> t
+(** [values] (default [true]) runs the
     tid-specialized {!Values} abstract interpretation first and threads
     its dead-site set through every downstream pass — locksets stop
     merging over infeasible arms, may-happen-in-parallel and race

@@ -1,10 +1,11 @@
-(** Growable integer vector clocks for the AeroDrome engine.
+(** Growable integer vector clocks over dense thread ids.
 
-    A clock maps dense thread ids to transaction ordinals: [c(t) = k]
-    means the clock has observed thread [t] up to its [k]-th
-    transaction. Storage grows on demand past the initial capacity;
-    absent entries read as 0, matching the ⊥-initialized clocks of the
-    literature.
+    A clock maps each thread [t] to a count: [c(t) = k] means the clock
+    has observed thread [t] up to its [k]-th step. The AeroDrome engine
+    counts transactions; the happens-before and FastTrack race detectors
+    count synchronization epochs. Storage grows on demand past the
+    initial capacity; absent entries read as 0, matching the
+    ⊥-initialized clocks of the literature.
 
     The clocks form a join-semilattice under the pointwise order:
     {!join} is commutative, associative and idempotent, {!incr} is

@@ -70,11 +70,7 @@ type engine_row = {
 let events_of_trace tr = Array.of_list (Event.of_ops (Trace.to_list tr))
 
 let replay_engine_events ~names events =
-  let eng =
-    Velodrome_core.Engine.create
-      ~config:{ Velodrome_core.Engine.merge = true; record_graphs = false }
-      names
-  in
+  let eng = Velodrome_core.Engine.create names in
   Array.iter (Velodrome_core.Engine.on_event eng) events;
   Velodrome_core.Engine.finish eng;
   eng
@@ -96,9 +92,9 @@ let replay_aero_events ~names events =
 (* Allocation per event, measured over one full replay (including engine
    creation, which amortizes to nothing on real traces). *)
 let bytes_per_event ~events f =
-  let b0 = Gc.allocated_bytes () in
+  let b0 = Velodrome_util.Stats.allocated_bytes () in
   ignore (Sys.opaque_identity (f ()));
-  let b1 = Gc.allocated_bytes () in
+  let b1 = Velodrome_util.Stats.allocated_bytes () in
   (b1 -. b0) /. float_of_int (max 1 events)
 
 (* The basic engine is quadratic-ish on dense traces; cap the prefix it

@@ -150,7 +150,7 @@ let dump_dots dir names warnings =
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   List.iteri
     (fun k (w : Warning.t) ->
-      match w.Warning.dot with
+      match Warning.dot names w with
       | Some dot ->
         let label =
           match w.Warning.label with
@@ -390,7 +390,7 @@ let engine_trio_check names trace =
   A.finish a;
   let proj (w : Warning.t) =
     (w.Warning.kind, w.Warning.tid, w.Warning.label, w.Warning.index,
-     w.Warning.message)
+     Warning.message names w)
   in
   let wa = List.sort compare (List.map proj (A.warnings a))
   and wb = List.sort compare (List.map proj (B.warnings b)) in

@@ -52,7 +52,7 @@ let () =
     List.iter
       (fun w ->
         Format.printf "Warning: %a@.@." (Warning.pp names) w;
-        match w.Warning.dot with
+        match Warning.dot names w with
         | Some dot ->
           print_endline "Error graph (render with `dot -Tpdf`):";
           print_endline dot

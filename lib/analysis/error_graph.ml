@@ -41,19 +41,28 @@ let to_dot names ~name g =
   in
   Dot.render ~name nodes edges
 
-let pp_summary names ppf g =
+let summary names g =
+  let b = Buffer.create 128 in
   let title id =
     match List.find_opt (fun n -> n.id = id) g.nodes with
     | Some n ->
-      let l =
-        if n.label >= 0 then Names.label_name names (Ids.Label.of_int n.label)
-        else "unary"
-      in
-      Printf.sprintf "%s(t%d)" l n.tid
-    | None -> Printf.sprintf "#%d" id
+      Buffer.add_string b
+        (if n.label >= 0 then Names.label_name names (Ids.Label.of_int n.label)
+         else "unary");
+      Buffer.add_string b "(t";
+      Buffer.add_string b (string_of_int n.tid);
+      Buffer.add_char b ')'
+    | None ->
+      Buffer.add_char b '#';
+      Buffer.add_string b (string_of_int id)
   in
   match g.edges with
-  | [] -> Format.fprintf ppf "(empty cycle)"
+  | [] -> "(empty cycle)"
   | first :: _ ->
-    List.iter (fun e -> Format.fprintf ppf "%s -> " (title e.src)) g.edges;
-    Format.fprintf ppf "%s" (title first.src)
+    List.iter
+      (fun e ->
+        title e.src;
+        Buffer.add_string b " -> ")
+      g.edges;
+    title first.src;
+    Buffer.contents b

@@ -1,9 +1,11 @@
 (** Error graphs (Section 5).
 
-    When Velodrome detects a non-serializable trace it renders the cycle of
-    transactions as a graph: boxes for transactions, edges labelled with
-    the operation that induced them, the cycle-closing edge dashed, and the
-    blamed transaction outlined. *)
+    When Velodrome detects a non-serializable trace it keeps the cycle of
+    transactions as data ({!t}) in the warning; the two renderings below
+    run only where a warning is printed. [to_dot] draws boxes for
+    transactions, edges labelled with the operation that induced them,
+    the cycle-closing edge dashed, and the blamed transaction outlined;
+    [summary] is the one-line form that {!Warning.message} appends. *)
 
 open Velodrome_trace
 
@@ -25,5 +27,5 @@ type t = { nodes : gnode list; edges : gedge list }
 
 val to_dot : Names.t -> name:string -> t -> string
 
-val pp_summary : Names.t -> Format.formatter -> t -> unit
+val summary : Names.t -> t -> string
 (** One-line cycle description, e.g. [add(t0) -> unary(t1) -> add(t0)]. *)

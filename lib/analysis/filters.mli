@@ -27,7 +27,12 @@ val static_atomic :
     writes of suppressible variables are dropped; lock operations and
     begin/end markers are always forwarded, so every cross-thread ordering
     a dropped access could induce is still visible to the back-end through
-    the guard's acquire/release edges. Suppression deliberately does not
+    the guard's acquire/release edges. That argument needs the back-end to
+    keep every such edge, which the atomicity engines stop doing at their
+    first violation: they drop an edge that would close a cycle, and a
+    later warning can then hinge on a suppressed access (program seed
+    890525 of the generated-program differential, scheduler [Random 11],
+    loses [gen.b1] at event 76). Suppression deliberately does not
     start at proved blocks nested inside unproved ones: warnings there are
     attributed to the unproved outermost label, which the soundness
     differential compares exactly. *)

@@ -9,22 +9,37 @@ type t = {
   tid : Tid.t option;
   label : Label.t option;
   var : Var.t option;
-  message : string;
-  dot : string option;
+  text : string;
+  cycle : Error_graph.t option;
   index : int;
   blamed : bool;
   refuted : Label.t list;
 }
 
-let make ~analysis ~kind ?tid ?label ?var ?dot ?(blamed = false)
-    ?(refuted = []) ~index message =
-  { analysis; kind; tid; label; var; message; dot; index; blamed; refuted }
+let make ~analysis ~kind ?tid ?label ?var ?cycle ?(blamed = false)
+    ?(refuted = []) ~index text =
+  { analysis; kind; tid; label; var; text; cycle; index; blamed; refuted }
 
 let kind_to_string = function
   | Atomicity_violation -> "atomicity-violation"
   | Reduction_failure -> "reduction-failure"
   | Race -> "race"
   | Deadlock -> "deadlock"
+
+let message names w =
+  match w.cycle with
+  | None -> w.text
+  | Some g ->
+    String.concat "" [ w.text; "; cycle: "; Error_graph.summary names g ]
+
+let dot names w =
+  Option.map
+    (fun g ->
+      let name =
+        match w.label with Some l -> Names.label_name names l | None -> "cycle"
+      in
+      Error_graph.to_dot names ~name g)
+    w.cycle
 
 let pp names ppf w =
   let label =
@@ -38,7 +53,7 @@ let pp names ppf w =
     | None -> ""
   in
   Format.fprintf ppf "%s: %s%s%s at #%d: %s" w.analysis
-    (kind_to_string w.kind) label var w.index w.message
+    (kind_to_string w.kind) label var w.index (message names w)
 
 (* The JSON projection the CLI prints for check-trace and serve; field
    order is part of the pinned output. *)
@@ -64,7 +79,7 @@ let to_json names w =
             List (List.map (fun l -> String (Names.label_name names l)) ls)
           );
         ])
-    @ [ ("message", String w.message) ])
+    @ [ ("message", String (message names w)) ])
 
 let dedup_by_label ws =
   let seen = Hashtbl.create 16 in

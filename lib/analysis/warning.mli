@@ -25,8 +25,11 @@ type t = {
       (** blamed atomic block / method; [None] when blame could not be
           assigned to a particular block *)
   var : Var.t option;  (** variable involved, for race reports *)
-  message : string;
-  dot : string option;  (** rendered error graph, when available *)
+  text : string;
+      (** the report without its cycle; {!message} renders the whole *)
+  cycle : Error_graph.t option;
+      (** the error graph of the detected cycle (Velodrome), kept as data
+          and rendered only where the warning is printed *)
   index : int;  (** event index at which the warning fired *)
   blamed : bool;
       (** true when blame analysis pinned a specific non-self-serializable
@@ -44,12 +47,22 @@ val make :
   ?tid:Tid.t ->
   ?label:Label.t ->
   ?var:Var.t ->
-  ?dot:string ->
+  ?cycle:Error_graph.t ->
   ?blamed:bool ->
   ?refuted:Label.t list ->
   index:int ->
   string ->
   t
+
+val message : Names.t -> t -> string
+(** The full report: [text], followed for a warning with a cycle by
+    ["; cycle: "] and its {!Error_graph.summary}. The single place a
+    cycle is summarised; {!pp} and {!to_json} print this. *)
+
+val dot : Names.t -> t -> string option
+(** The cycle's error graph in dot ({!Error_graph.to_dot}), the digraph
+    named after [label] (["cycle"] when there is none); [None] for a
+    warning without a cycle. *)
 
 val pp : Names.t -> Format.formatter -> t -> unit
 

@@ -3,9 +3,9 @@ open Velodrome_trace.Ids
 open Velodrome_analysis
 open Velodrome_util
 
-type config = { merge : bool; record_graphs : bool }
+type config = { merge : bool }
 
-let default_config = { merge = true; record_graphs = true }
+let default_config = { merge = true }
 
 (* The open-block stack lives in a pair of parallel int arrays (label,
    begin timestamp; index 0 = outermost) so Begin/End never cons. *)
@@ -218,12 +218,6 @@ let is_increasing (c : Pool.cycle) =
   in
   go c.Pool.path
 
-let emit t w key =
-  if not (Hashtbl.mem t.reported key) then begin
-    Hashtbl.replace t.reported key ();
-    t.warnings_rev <- w :: t.warnings_rev
-  end
-
 (* Queue a detected cycle; the warning is built once per event by
    [flush_pending], which prefers an increasing cycle when the event
    produced several. *)
@@ -273,48 +267,36 @@ let emit_cycle_warning t st (e : Event.t) (c : Pool.cycle) =
            (fun n -> (Pool.diag_tid n, Pool.diag_label n))
            (cycle_nodes c))
   in
-  if Hashtbl.mem t.reported key then ()
-  else begin
+  if not (Hashtbl.mem t.reported key) then begin
+  Hashtbl.replace t.reported key ();
   let blamed_slot =
     match (blamed, st.cur) with
     | true, Some n -> Some (Pool.slot n)
     | _ -> None
   in
-  let graph = graph_of_cycle c ~closing_op:e.Event.op ~blamed_slot in
-  let dot =
-    if t.config.record_graphs then
-      let name =
-        match primary_label with
-        | Some l -> Names.label_name t.names l
-        | None -> "cycle"
-      in
-      Some (Error_graph.to_dot t.names ~name graph)
-    else None
-  in
-  let message =
-    let summary = Format.asprintf "%a" (Error_graph.pp_summary t.names) graph in
-    let verdict =
-      if blamed then
-        Printf.sprintf "not self-serializable (refuted blocks: %s)"
-          (String.concat ", "
-             (List.map
-                (fun (l, _) ->
-                  if l >= 0 then Names.label_name t.names (Label.of_int l)
-                  else "(unary)")
-                outermost))
-      else "non-serializable trace (no single transaction blamed)"
-    in
-    Printf.sprintf "%s; cycle: %s" verdict summary
+  (* The cycle stays data; Warning.message and the CLI's dot export
+     render it only for the warnings that get printed. *)
+  let cycle = graph_of_cycle c ~closing_op:e.Event.op ~blamed_slot in
+  let verdict =
+    if blamed then
+      Printf.sprintf "not self-serializable (refuted blocks: %s)"
+        (String.concat ", "
+           (List.map
+              (fun (l, _) ->
+                if l >= 0 then Names.label_name t.names (Label.of_int l)
+                else "(unary)")
+              outermost))
+    else "non-serializable trace (no single transaction blamed)"
   in
   let warning =
     Warning.make
       ~analysis:(analysis_name t.config)
       ~kind:Warning.Atomicity_violation ~tid:(Op.tid e.Event.op)
-      ?label:primary_label ?dot ~blamed
+      ?label:primary_label ~cycle ~blamed
       ~refuted:(List.map (fun (l, _) -> Label.of_int l) outermost)
-      ~index:e.Event.index message
+      ~index:e.Event.index verdict
   in
-  emit t warning key
+  t.warnings_rev <- warning :: t.warnings_rev
   end
 
 let flush_pending t st (e : Event.t) =

@@ -27,6 +27,13 @@
     containing both the root and target operations is refuted
     (Section 4.3). The warning carries the outermost refuted label.
 
+    {b Reports.} Each new report key (one per blamed label, one per
+    unblamed cycle signature) yields one warning: a short verdict text
+    plus the cycle as an {!Velodrome_analysis.Error_graph.t}. The cycle
+    stays data; its one-line summary ({!Velodrome_analysis.Warning.message})
+    and its dot graph are rendered only for warnings that get printed,
+    since most raw warnings are dropped by deduplication first.
+
     {b Merge.} With [config.merge] on (the default), operations outside
     any atomic block go through the [merge] function of Figure 4, which
     avoids allocating nodes for unary transactions whenever a
@@ -41,7 +48,6 @@ open Velodrome_analysis
 
 type config = {
   merge : bool;  (** Figure 4 outside rules (default) vs naive wrapping *)
-  record_graphs : bool;  (** attach dot error graphs to warnings *)
 }
 
 val default_config : config

@@ -27,10 +27,9 @@ let run ?progress ?(every = default_interval) ?live_nodes backends
             (fun acc b -> acc + List.length (Backend.warnings b))
             0 backends;
         live_nodes = Option.map (fun probe -> probe ()) live_nodes;
-        (* quick_stat counters are only flushed at minor collections;
-           Gc.minor_words reads the precise allocation pointer. *)
         allocated_words =
-          Gc.minor_words () +. (g.Gc.major_words -. g.Gc.promoted_words);
+          Velodrome_util.Stats.allocated_bytes ()
+          /. float_of_int (Sys.word_size / 8);
         minor_collections = g.Gc.minor_collections;
         major_collections = g.Gc.major_collections;
       }

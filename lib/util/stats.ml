@@ -51,3 +51,7 @@ let reset c =
   c.current <- 0;
   c.total <- 0;
   c.high <- 0
+
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)

@@ -27,3 +27,12 @@ val value : counter -> int
 val total_increments : counter -> int
 val high_water : counter -> int
 val reset : counter -> unit
+
+val allocated_bytes : unit -> float
+(** Bytes the calling domain has allocated so far, exact at any point, for
+    measuring a window as a difference. [Gc.allocated_bytes] does not serve
+    for that on OCaml 5.1: its minor-heap term only advances at minor
+    collections, so a short window reads near zero, or a whole minor heap
+    too much when a collection falls inside it. [Gc.minor_words] reads the
+    allocation pointer itself; major minus promoted words adds the direct
+    major allocations. *)

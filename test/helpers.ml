@@ -36,6 +36,13 @@ let trace_arbitrary cfg =
 let qsuite name cells =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) cells)
 
+(* Bytes allocated while [f] runs (see Stats.allocated_bytes for why not
+   Gc.allocated_bytes). *)
+let allocated_bytes f =
+  let b0 = Stats.allocated_bytes () in
+  f ();
+  Stats.allocated_bytes () -. b0
+
 (* Run a trace through the optimized engine and return it. *)
 let run_engine ?config trace =
   let names = Names.create () in
@@ -69,14 +76,16 @@ let run_aero trace =
 
 open Velodrome_analysis
 
-(* Everything that identifies a warning except the rendered dot graph. *)
+(* Everything that identifies a warning, its cycle compared as data
+   (node slots, threads, labels and edge operations) rather than as the
+   rendered summary. *)
 let project_warning (w : Warning.t) =
   ( w.Warning.analysis,
     w.Warning.kind,
     Option.map Tid.to_int w.Warning.tid,
     Option.map Label.to_int w.Warning.label,
     Option.map Var.to_int w.Warning.var,
-    w.Warning.message,
+    (w.Warning.text, w.Warning.cycle),
     w.Warning.index,
     w.Warning.blamed )
 
@@ -109,11 +118,20 @@ let diff_backends backends tr =
 let strip_analysis (_, kind, tid, label, var, message, index, blamed) =
   (kind, tid, label, var, message, index, blamed)
 
+type projected =
+  Warning.kind
+  * int option
+  * int option
+  * int option
+  * (string * Error_graph.t option)
+  * int
+  * bool
+
 type trio = {
   verdict : bool;
   first_index : int option;
-  aero_warnings : (Warning.kind * int option * int option * int option * string * int * bool) list;
-  basic_warnings : (Warning.kind * int option * int option * int option * string * int * bool) list;
+  aero_warnings : projected list;
+  basic_warnings : projected list;
 }
 
 (* Replay one trace through Aero, Engine and Basic; [Some] is full

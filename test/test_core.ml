@@ -184,7 +184,7 @@ let test_engine_nested_blocks () =
     check bool "blamed" true w.Velodrome_analysis.Warning.blamed;
     check bool "outermost refuted label is p" true
       (w.Velodrome_analysis.Warning.label = Some p);
-    let msg = w.Velodrome_analysis.Warning.message in
+    let msg = Velodrome_analysis.Warning.message (Names.create ()) w in
     let contains needle =
       let nl = String.length needle and hl = String.length msg in
       let rec go i =
@@ -212,7 +212,7 @@ let test_engine_merge_reduces_allocation () =
   let tr = Trace.of_ops ops in
   let with_merge = run_engine tr in
   let without =
-    run_engine ~config:{ Engine.merge = false; record_graphs = false } tr
+    run_engine ~config:{ Engine.merge = false } tr
   in
   check bool "merge allocates fewer nodes" true
     (Engine.nodes_allocated with_merge < Engine.nodes_allocated without);
@@ -330,7 +330,7 @@ let verdict_engine tr = Engine.has_error (run_engine tr)
 
 let verdict_engine_nomerge tr =
   Engine.has_error
-    (run_engine ~config:{ Engine.merge = false; record_graphs = false } tr)
+    (run_engine ~config:{ Engine.merge = false } tr)
 
 let verdict_basic tr = Basic.has_error (run_basic tr)
 
@@ -499,7 +499,7 @@ let test_engine_stress () =
   in
   let tr = Gen.run (Velodrome_util.Rng.create 2024) cfg in
   let t0 = Sys.time () in
-  let eng = run_engine ~config:{ Engine.merge = true; record_graphs = false } tr in
+  let eng = run_engine tr in
   let elapsed = Sys.time () -. t0 in
   check bool "bounded live nodes" true (Engine.nodes_max_alive eng <= 128);
   check bool "all collected at end" true (Engine.nodes_live eng = 0);
@@ -585,9 +585,7 @@ let pool_matches_reference pool =
 
 let trace_matches_reference tr =
   let names = Names.create () in
-  let eng =
-    Engine.create ~config:{ Engine.merge = true; record_graphs = false } names
-  in
+  let eng = Engine.create names in
   let pool = Engine.debug_pool eng in
   List.for_all
     (fun e ->
@@ -612,15 +610,12 @@ let prop_bitset_ancestors_match_reachability_dense =
 (* --- Allocation-flat no-warning path --------------------------------------- *)
 
 let bytes_for_replay events =
-  let names = Names.create () in
-  let eng =
-    Engine.create ~config:{ Engine.merge = true; record_graphs = false } names
+  let eng = Engine.create (Names.create ()) in
+  let bytes =
+    allocated_bytes (fun () -> Array.iter (Engine.on_event eng) events)
   in
-  let b0 = Gc.allocated_bytes () in
-  Array.iter (Engine.on_event eng) events;
-  let b1 = Gc.allocated_bytes () in
   check int "benign trace" 0 (List.length (Engine.warnings eng));
-  b1 -. b0
+  bytes
 
 (* The no-warning path must not build closures, lists or report keys: the
    marginal allocation of the second half of a double-length benign trace
@@ -646,6 +641,42 @@ let test_engine_allocation_flat () =
     (Printf.sprintf "marginal bytes/event stays constant (%.1f)" marginal)
     true
     (marginal < 64.0)
+
+(* --- Slow-path allocation -------------------------------------------------- *)
+
+(* The violation-dense stream shape of the serve benchmark: about 220
+   distinct report keys per 3,000 events, with cycles of a dozen nodes.
+   Each new key builds its error graph as data and a short verdict; the
+   dot and the cycle summary are rendered only where a warning is
+   printed. With the summary rendered eagerly again this reads about
+   3.9 KB per event, and with the dot as well about 14.5 KB. *)
+let test_engine_slow_path_allocation () =
+  let names = Names.create () in
+  for i = 0 to 7 do
+    ignore (Names.label names (Printf.sprintf "Synth.block%d" i))
+  done;
+  let cfg =
+    { Gen.default with threads = 8; vars = 2; locks = 1; labels = 8;
+      steps = 3_000; max_depth = 3 }
+  in
+  List.iter
+    (fun seed ->
+      let events =
+        Array.of_list
+          (Event.of_ops
+             (Trace.to_list (Gen.run (Velodrome_util.Rng.create seed) cfg)))
+      in
+      let eng = Engine.create names in
+      let bytes =
+        allocated_bytes (fun () -> Array.iter (Engine.on_event eng) events)
+      in
+      let per_event = bytes /. float_of_int (Array.length events) in
+      check bool "violation-dense" true
+        (List.length (Engine.warnings eng) > 50);
+      check bool
+        (Printf.sprintf "seed %d: %.0f B/event on the slow path" seed per_event)
+        true (per_event < 2500.))
+    [ 1; 2; 3 ]
 
 let suite =
   ( "core",
@@ -695,5 +726,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_bitset_ancestors_match_reachability_dense;
       Alcotest.test_case "engine allocation flat" `Quick
         test_engine_allocation_flat;
+      Alcotest.test_case "slow-path allocation" `Quick
+        test_engine_slow_path_allocation;
       Alcotest.test_case "engine stress" `Slow test_engine_stress;
     ] )

@@ -367,47 +367,6 @@ let gate_ok g =
   g.blame_mismatches = [] && g.uncovered_blames = [] && g.uncovered_races = []
   && g.engine_disagreements = [] && g.value_violations = []
 
-(* The three-way engine differential behind the gate: replay each
-   schedule's recorded trace through the optimized engine, the Figure 2
-   reference and AeroDrome. Two independent sound-and-complete
-   algorithms (explicit happens-before graph vs vector clocks) must
-   agree on the verdict and on the first violating event, and Aero must
-   match Basic warning-for-warning. [Ok v] is the agreed verdict
-   (violation or not); [Error] describes the disagreement. *)
-let engine_trio_check names trace =
-  let module E = Velodrome_core.Engine in
-  let module B = Velodrome_core.Basic in
-  let module A = Velodrome_core.Aero in
-  let e = E.create names and b = B.create names and a = A.create names in
-  List.iter
-    (fun ev ->
-      E.on_event e ev;
-      B.on_event b ev;
-      A.on_event a ev)
-    (Velodrome_trace.Event.of_ops (Velodrome_trace.Trace.to_list trace));
-  E.finish e;
-  B.finish b;
-  A.finish a;
-  let proj (w : Warning.t) =
-    (w.Warning.kind, w.Warning.tid, w.Warning.label, w.Warning.index,
-     Warning.message names w)
-  in
-  let wa = List.sort compare (List.map proj (A.warnings a))
-  and wb = List.sort compare (List.map proj (B.warnings b)) in
-  if E.has_error e <> B.has_error b || B.has_error b <> A.has_error a then
-    Error
-      (Printf.sprintf "verdicts disagree: velodrome=%b basic=%b aero=%b"
-         (E.has_error e) (B.has_error b) (A.has_error a))
-  else if
-    E.first_error_index e <> B.first_error_index b
-    || B.first_error_index b <> A.first_error_index a
-  then Error "first violation index disagrees across engines"
-  else if wa <> wb then
-    Error
-      (Printf.sprintf "aero/basic warning sets differ (%d vs %d)"
-         (List.length wa) (List.length wb))
-  else Ok (E.has_error e)
-
 let may_violate st l =
   List.exists
     (fun b ->
@@ -488,7 +447,7 @@ let run_gate program st seeds =
       | None -> ());
       (match res.Velodrome_sim.Run.trace with
       | Some tr -> (
-        match engine_trio_check names tr with
+        match Velodrome_harness.Trio.check names tr with
         | Error msg -> engines := (desc, msg) :: !engines
         | Ok _ -> ())
       | None -> ());
@@ -1326,7 +1285,7 @@ let print_stats (s : Driver.stats) =
    the operation count and the warnings — for a failed stream those of
    its valid prefix, when it has one — then a failure's diagnostic on
    stderr. *)
-let print_outcome fmt path outcome =
+let print_outcome path outcome =
   let events, warnings, failure =
     match outcome with
     | Driver.Checked { events; warnings } -> (events, warnings, None)
@@ -1335,19 +1294,16 @@ let print_outcome fmt path outcome =
   in
   let partial = failure <> None in
   if events > 0 || not partial then begin
-    match fmt with
-    | `Human ->
+    match warnings with
+    | Driver.Lines lines ->
       Printf.printf "%s: %d operations%s\n" path events
         (if partial then " (partial: stream truncated)" else "");
-      if warnings = [] then print_endline "No warnings."
+      if lines = [] then print_endline "No warnings."
       else begin
-        Printf.printf "%d warning(s):\n" (List.length warnings);
-        List.iter
-          (fun (w : Driver.warning_view) ->
-            Printf.printf "  %s\n" w.Driver.human)
-          warnings
+        Printf.printf "%d warning(s):\n" (List.length lines);
+        List.iter (Printf.printf "  %s\n") lines
       end
-    | `Json ->
+    | Driver.Objects objects ->
       let open Velodrome_util.Json in
       print_endline
         (to_string
@@ -1355,11 +1311,7 @@ let print_outcome fmt path outcome =
               ([
                  ("file", String path);
                  ("events", Int events);
-                 ( "warnings",
-                   List
-                     (List.map
-                        (fun (w : Driver.warning_view) -> w.Driver.json)
-                        warnings) );
+                 ("warnings", List objects);
                ]
               @ if partial then [ ("partial", Bool true) ] else [])))
   end;
@@ -1396,11 +1348,12 @@ let check_trace_cmd =
     let outcome =
       Driver.check_file
         ?progress:(Option.map (fun _ -> print_stats) stats)
-        ?every:stats ?live_nodes ~backends file
+        ?every:stats ?live_nodes ~backends ~format:fmt file
     in
-    print_outcome fmt file outcome;
+    print_outcome file outcome;
     match outcome with
-    | Driver.Checked { warnings; _ } -> exit_violations warnings
+    | Driver.Checked { warnings; _ } ->
+      if Driver.warning_count warnings > 0 then exit 1
     | Driver.Failed _ -> exit 2
   in
   Cmd.v
@@ -1538,7 +1491,7 @@ let fuzz_cmd =
       let names = Names.create () in
       let oracle = not (Velodrome_oracle.Oracle.serializable tr) in
       let problem =
-        match engine_trio_check names tr with
+        match Velodrome_harness.Trio.check names tr with
         | Ok v when v = oracle -> None
         | Ok v -> Some (Printf.sprintf "oracle=%b engines=%b" oracle v)
         | Error msg -> Some msg
@@ -1709,7 +1662,7 @@ let serve_cmd =
        and the ordered merge emits it in submission order — so the whole
        stdout is independent of --jobs and equal to a sequential sweep. *)
     let print_result (r : Serve.result) =
-      print_outcome fmt r.Serve.path r.Serve.outcome;
+      print_outcome r.Serve.path r.Serve.outcome;
       if stats then begin
         let events, warnings =
           match r.Serve.outcome with
@@ -1719,12 +1672,16 @@ let serve_cmd =
         in
         Printf.eprintf
           "[serve] %d/%d %s: %d events, %d warnings, wait %.2fms, check %.2fms\n%!"
-          (r.Serve.index + 1) total r.Serve.path events (List.length warnings)
+          (r.Serve.index + 1) total r.Serve.path events
+          (Driver.warning_count warnings)
           (Int64.to_float r.Serve.wait_ns /. 1e6)
           (Int64.to_float r.Serve.check_ns /. 1e6)
       end
     in
-    let s = Serve.run ?jobs ?queue_capacity:queue ~backends ~on_result:print_result paths in
+    let s =
+      Serve.run ?jobs ?queue_capacity:queue ~format:fmt ~backends
+        ~on_result:print_result paths
+    in
     if stats then begin
       let secs = Int64.to_float s.Serve.elapsed_ns /. 1e9 in
       Printf.eprintf

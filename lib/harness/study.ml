@@ -163,37 +163,6 @@ type agreement_row = {
   agreements : int;
 }
 
-(* Replay one recorded trace through the engine trio; true when the
-   verdict, the first violating event and (for Aero vs Basic) the
-   warning sets all agree. *)
-let trio_agrees names trace =
-  let module E = Velodrome_core.Engine in
-  let module B = Velodrome_core.Basic in
-  let module A = Velodrome_core.Aero in
-  let e = E.create names and b = B.create names and a = A.create names in
-  List.iter
-    (fun ev ->
-      E.on_event e ev;
-      B.on_event b ev;
-      A.on_event a ev)
-    (Velodrome_trace.Event.of_ops (Velodrome_trace.Trace.to_list trace));
-  E.finish e;
-  B.finish b;
-  A.finish a;
-  let proj (w : Warning.t) =
-    ( w.Warning.kind, w.Warning.tid, w.Warning.label, w.Warning.index,
-      Warning.message names w )
-  in
-  let agree =
-    E.has_error e = B.has_error b
-    && B.has_error b = A.has_error a
-    && E.first_error_index e = B.first_error_index b
-    && B.first_error_index b = A.first_error_index a
-    && List.sort compare (List.map proj (A.warnings a))
-       = List.sort compare (List.map proj (B.warnings b))
-  in
-  (agree, A.has_error a && agree)
-
 let agreement ?(size = Workload.Medium) ?(seeds = [ 1; 2; 3; 4; 5 ]) () =
   List.map
     (fun (w : Workload.t) ->
@@ -212,9 +181,11 @@ let agreement ?(size = Workload.Medium) ?(seeds = [ 1; 2; 3; 4; 5 ]) () =
               | None -> ()
               | Some tr ->
                 incr traces;
-                let agree, violates = trio_agrees names tr in
-                if agree then incr agreements;
-                if violates then incr violating)
+                match Trio.check names tr with
+                | Ok violates ->
+                  incr agreements;
+                  if violates then incr violating
+                | Error _ -> ())
             seeds)
         [ false; true ];
       {

@@ -32,7 +32,7 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 (* --- the pool ---------------------------------------------------------------- *)
 
-let run ?jobs ?queue_capacity ~backends ~on_result paths =
+let run ?jobs ?queue_capacity ?(format = `Human) ~backends ~on_result paths =
   let n = List.length paths in
   let jobs =
     let j = match jobs with Some j -> j | None -> default_jobs () in
@@ -71,9 +71,9 @@ let run ?jobs ?queue_capacity ~backends ~on_result paths =
         (* queue space freed *)
         let t0 = now_ns () in
         (* One stream, one fresh engine, one fresh name table — all
-           private to this domain. Only rendered strings and Json leave. *)
+           private to this domain. Only rendered strings or Json leave. *)
         let outcome =
-          Velodrome_stream.Driver.check_file ~backends job.j_path
+          Velodrome_stream.Driver.check_file ~backends ~format job.j_path
         in
         let t1 = now_ns () in
         Atomic.set
@@ -115,14 +115,16 @@ let run ?jobs ?queue_capacity ~backends ~on_result paths =
               Atomic.set results.(!next_emit) None;
               incr next_emit;
               progressed := true;
-              (match r.outcome with
-              | Velodrome_stream.Driver.Checked { events = e; warnings = ws } ->
-                events := !events + e;
-                warnings := !warnings + List.length ws
-              | Failed { events = e; warnings = ws; _ } ->
-                incr failed;
-                events := !events + e;
-                warnings := !warnings + List.length ws);
+              let e, ws =
+                match r.outcome with
+                | Velodrome_stream.Driver.Checked { events = e; warnings = ws } ->
+                  (e, ws)
+                | Failed { events = e; warnings = ws; _ } ->
+                  incr failed;
+                  (e, ws)
+              in
+              events := !events + e;
+              warnings := !warnings + Velodrome_stream.Driver.warning_count ws;
               queue_wait := Int64.add !queue_wait r.wait_ns;
               on_result r;
               emit ()

@@ -54,6 +54,7 @@ val default_jobs : unit -> int
 val run :
   ?jobs:int ->
   ?queue_capacity:int ->
+  ?format:Velodrome_stream.Driver.format ->
   backends:(Velodrome_trace.Names.t -> Velodrome_analysis.Backend.packed list) ->
   on_result:(result -> unit) ->
   string list ->
@@ -63,8 +64,10 @@ val run :
     [backends] is called once per stream, inside the worker domain, with
     that stream's name environment. [jobs] defaults to
     {!default_jobs}[ ()] clamped to the number of streams;
-    [queue_capacity] defaults to [2 * jobs]. Exceptions from
-    [on_result] shut the pool down cleanly before propagating. *)
+    [queue_capacity] defaults to [2 * jobs]; [format] (default [`Human])
+    is the one format each stream's warnings are rendered in.
+    Exceptions from [on_result] shut the pool down cleanly before
+    propagating. *)
 
 val expand_targets : string list -> (string list, string) Stdlib.result
 (** CLI argument helper: each target is a trace file or a directory,

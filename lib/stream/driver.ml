@@ -76,24 +76,24 @@ let run ?progress ?(every = default_interval) ?live_nodes backends
 
 (* --- one stream, checked and rendered ---------------------------------------- *)
 
-type warning_view = { human : string; json : Velodrome_util.Json.t }
+type format = [ `Human | `Json ]
+
+type rendered = Lines of string list | Objects of Velodrome_util.Json.t list
 
 type outcome =
-  | Checked of { events : int; warnings : warning_view list }
-  | Failed of {
-      events : int;
-      warnings : warning_view list;
-      message : string;
-    }
+  | Checked of { events : int; warnings : rendered }
+  | Failed of { events : int; warnings : rendered; message : string }
 
-let render names warnings =
-  List.map
-    (fun w ->
-      {
-        human = Format.asprintf "%a" (Warning.pp names) w;
-        json = Warning.to_json names w;
-      })
-    (Warning.dedup_by_label warnings)
+let warning_count = function
+  | Lines l -> List.length l
+  | Objects l -> List.length l
+
+(* Renders the kept warnings in the one format the caller prints. *)
+let render format names warnings =
+  let kept = Warning.dedup_by_label warnings in
+  match format with
+  | `Human -> Lines (List.map (Format.asprintf "%a" (Warning.pp names)) kept)
+  | `Json -> Objects (List.map (Warning.to_json names) kept)
 
 let error_line path = function
   | Trace_codec.Corrupt msg ->
@@ -106,23 +106,27 @@ let error_line path = function
   | Sys_error msg -> Printf.sprintf "%s: %s" path msg
   | e -> Printf.sprintf "%s: %s" path (Printexc.to_string e)
 
-let check_file ?progress ?every ?live_nodes ~backends path =
+let check_file ?progress ?every ?live_nodes ~backends ~format path =
   match
     Source.with_file path (fun src ->
         let names = src.Source.names in
         let bs = backends names in
         match run ?progress ?every ?live_nodes bs src with
         | events, warnings ->
-          Checked { events; warnings = render names warnings }
+          Checked { events; warnings = render format names warnings }
         | exception Interrupted { events; error } ->
           Failed
             {
               events;
-              warnings = render names (List.concat_map Backend.warnings bs);
+              warnings =
+                render format names (List.concat_map Backend.warnings bs);
               message = error_line path error;
             })
   with
   | outcome -> outcome
   (* Header-level damage surfaces before iteration starts. *)
   | exception ((Trace_codec.Corrupt _ | Sys_error _) as e) ->
-    Failed { events = 0; warnings = []; message = error_line path e }
+    let warnings =
+      match format with `Human -> Lines [] | `Json -> Objects []
+    in
+    Failed { events = 0; warnings; message = error_line path e }

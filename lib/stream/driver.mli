@@ -60,23 +60,28 @@ val run :
 
 (** {1 Checking one trace file} *)
 
-type warning_view = {
-  human : string;  (** the warning's line, sans indentation *)
-  json : Velodrome_util.Json.t;  (** the warning's JSON object *)
-}
-(** A warning rendered against its stream's name environment, so it can
-    leave the domain that owns that environment. *)
+type format = [ `Human | `Json ]
+
+type rendered =
+  | Lines of string list  (** one {!Velodrome_analysis.Warning.pp} line each *)
+  | Objects of Velodrome_util.Json.t list
+      (** one {!Velodrome_analysis.Warning.to_json} object each *)
+(** A stream's deduplicated warnings rendered against its name
+    environment in one output format, so they can leave the domain that
+    owns that environment. *)
 
 type outcome =
-  | Checked of { events : int; warnings : warning_view list }
+  | Checked of { events : int; warnings : rendered }
       (** the stream replayed to the end *)
   | Failed of {
       events : int;  (** events replayed before the failure *)
-      warnings : warning_view list;  (** warnings over the valid prefix *)
+      warnings : rendered;  (** warnings over the valid prefix *)
       message : string;  (** the one-line diagnostic *)
     }
       (** the stream was unreadable, corrupt, truncated or ill-formed —
           exit-2 semantics, with the partial result preserved *)
+
+val warning_count : rendered -> int
 
 val error_line : string -> exn -> string
 (** [error_line path e] is the one-line diagnostic for a failure [e]
@@ -88,10 +93,13 @@ val check_file :
   ?every:int ->
   ?live_nodes:(unit -> int) ->
   backends:(Velodrome_trace.Names.t -> Backend.packed list) ->
+  format:format ->
   string ->
   outcome
-(** [check_file ~backends path] opens [path] ({!Source.with_file}),
-    replays it with {!run} through [backends names] (called once, with
-    the stream's name environment), and renders the warnings deduplicated
-    by label. Every failure becomes a [Failed] outcome: header damage and
-    I/O errors (a missing file, a directory) with [events = 0]. *)
+(** [check_file ~backends ~format path] opens [path]
+    ({!Source.with_file}), replays it with {!run} through
+    [backends names] (called once, with the stream's name environment),
+    and renders the warnings, deduplicated by label, in [format] only
+    ([`Human] lines or [`Json] objects). Every failure becomes a
+    [Failed] outcome: header damage and I/O errors (a missing file, a
+    directory) with [events = 0]. *)

@@ -108,62 +108,3 @@ let trace_warnings mk tr =
 let diff_backends backends tr =
   List.map (fun (name, mk) -> (name, trace_warnings mk tr)) backends
 
-(* --- the sound-and-complete engine trio -------------------------------------
-
-   Aero and Basic must agree warning-for-warning (same label, thread,
-   index and message; only the analysis name differs); the optimized
-   engine's blame pass attributes labels differently by design, so it
-   participates through the shared verdict and first-violation index. *)
-
-let strip_analysis (_, kind, tid, label, var, message, index, blamed) =
-  (kind, tid, label, var, message, index, blamed)
-
-type projected =
-  Warning.kind
-  * int option
-  * int option
-  * int option
-  * (string * Error_graph.t option)
-  * int
-  * bool
-
-type trio = {
-  verdict : bool;
-  first_index : int option;
-  aero_warnings : projected list;
-  basic_warnings : projected list;
-}
-
-(* Replay one trace through Aero, Engine and Basic; [Some] is full
-   agreement, [Error] a human-readable disagreement. *)
-let engine_trio trace =
-  let a = run_aero trace
-  and e = run_engine trace
-  and b = run_basic trace in
-  let va = Velodrome_core.Aero.has_error a
-  and ve = Velodrome_core.Engine.has_error e
-  and vb = Velodrome_core.Basic.has_error b in
-  let fa = Velodrome_core.Aero.first_error_index a
-  and fe = Velodrome_core.Engine.first_error_index e
-  and fb = Velodrome_core.Basic.first_error_index b in
-  let ws eng warnings =
-    List.sort compare
-      (List.map (fun w -> strip_analysis (project_warning w)) (warnings eng))
-  in
-  let wa = ws a Velodrome_core.Aero.warnings
-  and wb = ws b Velodrome_core.Basic.warnings in
-  let pp_idx = function None -> "-" | Some i -> string_of_int i in
-  if va <> ve || va <> vb then
-    Error
-      (Printf.sprintf "verdicts disagree: aero=%b engine=%b basic=%b" va ve vb)
-  else if fa <> fe || fa <> fb then
-    Error
-      (Printf.sprintf
-         "first violation index disagrees: aero=%s engine=%s basic=%s"
-         (pp_idx fa) (pp_idx fe) (pp_idx fb))
-  else if wa <> wb then
-    Error
-      (Printf.sprintf "aero/basic warning sets differ (%d vs %d warnings)"
-         (List.length wa) (List.length wb))
-  else
-    Ok { verdict = va; first_index = fa; aero_warnings = wa; basic_warnings = wb }

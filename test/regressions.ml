@@ -12,7 +12,6 @@
 
 open Velodrome_analysis
 open Velodrome_sim
-open Helpers
 
 type schedule = RR | Rand of int | Adv of int
 
@@ -73,7 +72,11 @@ let replay (seed, family, schedule) =
     Run.run ~config program
       (all_packaged program.Ast.names)
   in
-  match engine_trio (Option.get res.Run.trace) with
+  match
+    Velodrome_harness.Trio.check
+      (Velodrome_trace.Names.create ())
+      (Option.get res.Run.trace)
+  with
   | Ok _ -> ()
   | Error msg ->
     Alcotest.failf

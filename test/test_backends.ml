@@ -524,7 +524,7 @@ let assert_trio what program =
   List.iter
     (fun (sched, config) ->
       let tr = recorded_trace ~config program in
-      match engine_trio tr with
+      match Velodrome_harness.Trio.check (Names.create ()) tr with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "%s (schedule %s): %s" what sched msg)
     (gate_configs gate_seed)
@@ -551,7 +551,7 @@ let prop_trio_generated =
       List.iter
         (fun (sched, config) ->
           let tr = recorded_trace ~config program in
-          match engine_trio tr with
+          match Velodrome_harness.Trio.check (Names.create ()) tr with
           | Ok _ -> ()
           | Error msg ->
             Alcotest.failf

@@ -65,38 +65,41 @@ let gen_stream dir k =
 
 (* --- reference: one stream at a time through the plain driver --------------- *)
 
-let reference path =
+let render format names w =
+  match format with
+  | `Human -> Format.asprintf "%a" (Warning.pp names) w
+  | `Json -> Velodrome_util.Json.to_string (Warning.to_json names w)
+
+let reference ?(format = `Human) path =
   Velodrome_stream.Source.with_file path (fun src ->
       let names = src.Velodrome_stream.Source.names in
       let events, warnings =
         Driver.run (backends names) src
       in
       ( events,
-        List.map
-          (fun w -> Format.asprintf "%a" (Warning.pp names) w)
-          (Warning.dedup_by_label warnings) ))
+        List.map (render format names) (Warning.dedup_by_label warnings) ))
 
 let project (r : Serve.result) =
   match r.Serve.outcome with
-  | Driver.Checked { events; warnings } ->
-    ( r.Serve.path,
-      events,
-      List.map (fun (w : Driver.warning_view) -> w.Driver.human) warnings )
+  | Driver.Checked { events; warnings = Driver.Lines lines } ->
+    (r.Serve.path, events, lines)
+  | Driver.Checked { events; warnings = Driver.Objects objects } ->
+    (r.Serve.path, events, List.map Velodrome_util.Json.to_string objects)
   | Driver.Failed { events; _ } ->
     Alcotest.failf "%s: unexpected Failed after %d events" r.Serve.path events
 
-let serve_projected ~jobs ?queue_capacity paths =
+let serve_projected ~jobs ?queue_capacity ?format paths =
   let acc = ref [] in
   let stats =
-    Serve.run ~jobs ?queue_capacity ~backends
+    Serve.run ~jobs ?queue_capacity ?format ~backends
       ~on_result:(fun r -> acc := project r :: !acc)
       paths
   in
   (stats, List.rev !acc)
 
-let check_differential ~jobs paths =
-  let expected = List.map (fun p -> (p, reference p)) paths in
-  let stats, got = serve_projected ~jobs paths in
+let check_differential ~jobs ?format paths =
+  let expected = List.map (fun p -> (p, reference ?format p)) paths in
+  let stats, got = serve_projected ~jobs ?format paths in
   check int "one result per stream" (List.length paths) (List.length got);
   List.iter2
     (fun (path, (events, warnings)) (gpath, gevents, gwarnings) ->
@@ -112,14 +115,16 @@ let check_differential ~jobs paths =
 
 (* --- tests ------------------------------------------------------------------ *)
 
-(* All recorded workload traces, 8 domains vs the sequential driver. *)
+(* All recorded workload traces, 8 domains vs the sequential driver, in
+   each output format. *)
 let test_workloads_differential () =
   with_dir "serve-wl" (fun dir ->
       let paths = List.map (record_workload dir) Workload.all in
       check int "all workloads recorded"
         (List.length Workload.all)
         (List.length paths);
-      ignore (check_differential ~jobs:8 paths))
+      ignore (check_differential ~jobs:8 paths);
+      ignore (check_differential ~jobs:8 ~format:`Json paths))
 
 (* 200 generated streams; 1, 3 and 8 domains must agree with the
    sequential driver and with each other, byte for byte. *)

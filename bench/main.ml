@@ -503,16 +503,7 @@ let predict_bench ~seeds ~fixture program =
   let p = !p in
   let preds = Predict.predictions p in
   let certified =
-    List.length
-      (List.filter
-         (fun (pr : Predict.prediction) ->
-           match
-             Predict.replay_and_certify program pr.Predict.label
-               pr.Predict.plan.Velodrome_predict.Plan.waypoints
-           with
-           | Ok _ -> true
-           | Error _ -> false)
-         preds)
+    List.length preds - List.length (Predict.recheck program p)
   in
   let observed =
     SSet.of_list

@@ -319,18 +319,18 @@ let check_analyze_doc ctx v =
     let gf = obj_fields ctx g in
     check_ints ctx gf [ "schedules"; "dynamic_warnings" ];
     expect_field ctx gf "ok" B;
-    (match get ctx gf "mismatches" with
-    | Json.List _ -> ()
-    | _ -> fail ctx "mismatches is not an array");
-    (match get ctx gf "uncovered_blames" with
-    | Json.List _ -> ()
-    | _ -> fail ctx "uncovered_blames is not an array");
-    (match get ctx gf "uncovered_races" with
-    | Json.List _ -> ()
-    | _ -> fail ctx "uncovered_races is not an array");
-    match get ctx gf "value_violations" with
-    | Json.List _ -> ()
-    | _ -> fail ctx "value_violations is not an array");
+    List.iter
+      (fun name ->
+        match get ctx gf name with
+        | Json.List _ -> ()
+        | _ -> fail ctx (name ^ " is not an array"))
+      [
+        "mismatches";
+        "uncovered_blames";
+        "uncovered_races";
+        "engine_disagreements";
+        "value_violations";
+      ]);
   match List.assoc_opt "races" f with
   | None -> ()
   | Some r -> check_races_doc (ctx ^ ".races") r

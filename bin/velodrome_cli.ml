@@ -83,34 +83,45 @@ let exits =
 (* Violations exit 1, so scripts and CI can gate on the status alone. *)
 let exit_violations = function [] -> () | _ :: _ -> exit 1
 
-let mk_backend names = function
-  | "velodrome" -> Some (Backend.make (Velodrome_core.Engine.backend ()) names)
-  | "velodrome-basic" ->
-    Some (Backend.make (Velodrome_core.Basic.backend ()) names)
-  | "aero" -> Some (Backend.make (Velodrome_core.Aero.backend ()) names)
-  | "atomizer" ->
-    Some (Backend.make (Velodrome_atomizer.Atomizer.backend ()) names)
-  | "eraser" -> Some (Backend.make (Velodrome_eraser.Eraser.backend ()) names)
-  | "hb" -> Some (Backend.make (Velodrome_hbrace.Hbrace.backend ()) names)
-  | "fasttrack" ->
-    Some (Backend.make (Velodrome_hbrace.Fasttrack.backend ()) names)
-  | "2pl" -> Some (Backend.make (Velodrome_twopl.Twopl.backend ()) names)
-  | "2pl-strict" ->
-    Some
-      (Backend.make
-         (Velodrome_twopl.Twopl.backend ~config:{ Velodrome_twopl.Twopl.strict = true } ())
-         names)
-  | "empty" -> Some (Backend.make (module Empty) names)
-  | _ -> None
+(* The one table of back-ends that -a accepts. *)
+let backends : (string * (module Backend.S)) list =
+  [
+    ("velodrome", Velodrome_core.Engine.backend ());
+    ("velodrome-basic", Velodrome_core.Basic.backend ());
+    ("aero", Velodrome_core.Aero.backend ());
+    ("atomizer", Velodrome_atomizer.Atomizer.backend ());
+    ("eraser", Velodrome_eraser.Eraser.backend ());
+    ("hb", Velodrome_hbrace.Hbrace.backend ());
+    ("2pl", Velodrome_twopl.Twopl.backend ());
+    ( "2pl-strict",
+      Velodrome_twopl.Twopl.backend
+        ~config:{ Velodrome_twopl.Twopl.strict = true } () );
+    ("empty", (module Empty));
+  ]
 
-let analyses_arg =
+(* An -a value is a table entry, so an unknown name is a usage error
+   before anything runs. *)
+let backend_conv =
+  let parse name =
+    match List.assoc_opt name backends with
+    | Some m -> Ok (name, m)
+    | None -> Error (`Msg (Printf.sprintf "unknown analysis %S" name))
+  in
+  Arg.conv (parse, fun ppf (name, _) -> Format.pp_print_string ppf name)
+
+let make_backends analyses names =
+  List.map (fun (_, m) -> Backend.make m names) analyses
+
+let analyses_arg default =
   Arg.(
     value
-    & opt (list string) [ "velodrome"; "atomizer" ]
+    & opt (list backend_conv)
+        (List.map (fun a -> (a, List.assoc a backends)) default)
     & info [ "analysis"; "a"; "backend" ] ~docv:"LIST"
         ~doc:
-          "Comma-separated back-ends: velodrome, velodrome-basic, aero, \
-           atomizer, eraser, hb, fasttrack, empty.")
+          ("Comma-separated back-ends: "
+          ^ String.concat ", " (List.map fst backends)
+          ^ "."))
 
 let spec_arg =
   Arg.(
@@ -247,15 +258,7 @@ let run_cmd =
     let program = build_program name size in
     let names = program.Velodrome_sim.Ast.names in
     let backends =
-      List.filter_map
-        (fun a ->
-          match mk_backend names a with
-          | Some b -> Some b
-          | None ->
-            Printf.eprintf "unknown analysis %S (ignored)\n" a;
-            None)
-        analyses
-      |> apply_spec (load_spec spec) names
+      make_backends analyses names |> apply_spec (load_spec spec) names
     in
     let config =
       {
@@ -277,7 +280,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one workload under selected analyses." ~exits)
     Term.(
       const run $ workload $ size_arg $ seed_arg $ adversarial_arg
-      $ analyses_arg $ dot_dir $ spec_arg)
+      $ analyses_arg [ "velodrome"; "atomizer" ] $ dot_dir $ spec_arg)
 
 (* --- check --------------------------------------------------------------- *)
 
@@ -292,8 +295,7 @@ let check_cmd =
     let program, _ = parse_vel file in
     let names = program.Velodrome_sim.Ast.names in
     let backends =
-      List.filter_map (mk_backend names) analyses
-      |> apply_spec (load_spec spec) names
+      make_backends analyses names |> apply_spec (load_spec spec) names
     in
     let config =
       {
@@ -312,195 +314,16 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"Check a .vel program file for atomicity." ~exits)
     Term.(
-      const run $ file $ seed_arg $ adversarial_arg $ analyses_arg $ spec_arg)
+      const run $ file $ seed_arg $ adversarial_arg
+      $ analyses_arg [ "velodrome"; "atomizer" ]
+      $ spec_arg)
 
 (* --- analyze ----------------------------------------------------------------- *)
 
 module Statics = Velodrome_statics.Statics
 module Predict = Velodrome_predict.Predict
 module Pplan = Velodrome_predict.Plan
-
-(* The dynamic soundness gate behind [analyze --gate]: replay the program
-   under round-robin, seeded-random and adversarial schedules and check
-   both directions of the static story. The full Velodrome engine must
-   never refute a statically-proved block (Theorem 1 makes blame a
-   completeness claim — the transaction really is non-serializable — so a
-   single mismatch is a statics bug, not scheduling noise); every block
-   it does blame must be statically may-violate, since the conflict
-   graph over-approximates every dynamic happens-before edge and a blame
-   is a real cycle (a blamed block that is merely Unknown means the
-   budget valve fired, which these program sizes never reach); and every
-   dynamic race warning from the Eraser and happens-before back-ends must
-   land on a variable the pairwise static detector also flags: a
-   variable in no static race pair is race-free on every execution, so
-   an uncovered dynamic race warning is likewise a statics bug. *)
-let gate_schedules seeds =
-  ("round-robin", Velodrome_sim.Run.Round_robin, false)
-  :: List.concat_map
-       (fun s ->
-         [
-           (Printf.sprintf "random(seed %d)" s, Velodrome_sim.Run.Random s, false);
-           ( Printf.sprintf "adversarial(seed %d)" s,
-             Velodrome_sim.Run.Random s,
-             true );
-         ])
-       seeds
-
-type gate_result = {
-  gate_warnings : int;  (** dynamic warnings across all schedules *)
-  blame_mismatches : (string * string) list;  (** schedule, proved label *)
-  uncovered_blames : (string * string) list;
-      (** schedule, dynamically blamed label whose static verdict is not
-          may-violate — the coverage direction of the gate *)
-  uncovered_races : (string * string * string) list;
-      (** schedule, analysis, variable with a dynamic race warning but no
-          static race pair *)
-  engine_disagreements : (string * string) list;
-      (** schedule, description — the three-way differential over the
-          recorded trace of each schedule *)
-  value_violations : (string * string) list;
-      (** schedule, description — a dynamic event from a statically-dead
-          site, or an observed value outside its static interval *)
-}
-
-let gate_ok g =
-  g.blame_mismatches = [] && g.uncovered_blames = [] && g.uncovered_races = []
-  && g.engine_disagreements = [] && g.value_violations = []
-
-let may_violate st l =
-  List.exists
-    (fun b ->
-      Velodrome_trace.Ids.Label.equal b.Statics.label l
-      &&
-      match b.Statics.verdict with
-      | Statics.May_violate _ -> true
-      | _ -> false)
-    (Statics.blocks st)
-
-(* The value-analysis obligations of the gate, checked per schedule via
-   the interpreter's observation hook: no dynamic event may come from a
-   statically-dead site, and every observed value at a fact-carrying
-   site must lie within the static interval. The first violation per
-   schedule is kept — one witness is enough to fail, and the hook stays
-   cheap on the hot path. *)
-let value_observer vals violation =
-  Option.map
-    (fun v (o : Velodrome_sim.Interp.obs) ->
-      if !violation = None then begin
-        let module V = Velodrome_statics.Values in
-        let site =
-          {
-            Velodrome_statics.Cfg.thread = o.Velodrome_sim.Interp.o_thread;
-            path = o.Velodrome_sim.Interp.o_path;
-          }
-        in
-        if V.dead_site v site then
-          violation :=
-            Some
-              (Printf.sprintf "event from statically-dead site %s"
-                 (Velodrome_statics.Cfg.site_to_string site))
-        else
-          match (o.Velodrome_sim.Interp.o_value, V.fact_at v site) with
-          | Some x, Some f when not (V.mem x f.V.itv) ->
-            violation :=
-              Some
-                (Printf.sprintf
-                   "observed value %d at %s outside static interval %s" x
-                   (Velodrome_statics.Cfg.site_to_string site)
-                   (V.itv_to_string f.V.itv))
-          | _ -> ()
-      end)
-    vals
-
-let run_gate program st seeds =
-  let names = program.Velodrome_sim.Ast.names in
-  let races = Statics.races st in
-  let vals = Statics.values st in
-  let warnings = ref 0 in
-  let blame = ref [] in
-  let unblamed = ref [] in
-  let uncovered = ref [] in
-  let engines = ref [] in
-  let value_viols = ref [] in
-  List.iter
-    (fun (desc, policy, adversarial) ->
-      let backends =
-        [
-          Backend.make (Velodrome_core.Engine.backend ()) names;
-          Backend.make (Velodrome_eraser.Eraser.backend ()) names;
-          Backend.make (Velodrome_hbrace.Hbrace.backend ()) names;
-        ]
-      in
-      let violation = ref None in
-      let config =
-        {
-          Velodrome_sim.Run.default_config with
-          policy;
-          adversarial;
-          record_trace = true;
-          observe = value_observer vals violation;
-        }
-      in
-      let res = Velodrome_sim.Run.run ~config program backends in
-      (match !violation with
-      | Some msg -> value_viols := (desc, msg) :: !value_viols
-      | None -> ());
-      (match res.Velodrome_sim.Run.trace with
-      | Some tr -> (
-        match Velodrome_harness.Trio.check names tr with
-        | Error msg -> engines := (desc, msg) :: !engines
-        | Ok _ -> ())
-      | None -> ());
-      warnings := !warnings + List.length res.Velodrome_sim.Run.warnings;
-      List.iter
-        (fun (w : Warning.t) ->
-          List.iter
-            (fun l ->
-              if Statics.proved st l then
-                blame :=
-                  (desc, Velodrome_trace.Names.label_name names l) :: !blame
-              else if not (may_violate st l) then
-                unblamed :=
-                  (desc, Velodrome_trace.Names.label_name names l)
-                  :: !unblamed)
-            w.Warning.refuted;
-          match (w.Warning.kind, w.Warning.var) with
-          | Warning.Race, Some x
-            when not (Velodrome_statics.Races.racy_var races x) ->
-            uncovered :=
-              ( desc,
-                w.Warning.analysis,
-                Velodrome_trace.Names.var_name names x )
-              :: !uncovered
-          | _ -> ())
-        res.Velodrome_sim.Run.warnings)
-    (gate_schedules seeds);
-  {
-    gate_warnings = !warnings;
-    blame_mismatches = List.rev !blame;
-    uncovered_blames = List.sort_uniq compare !unblamed;
-    uncovered_races = List.sort_uniq compare !uncovered;
-    engine_disagreements = List.rev !engines;
-    value_violations = List.rev !value_viols;
-  }
-
-(* A gate failure on a generated program is only actionable if it can be
-   replayed. Print the progen seed, the program's structured families and
-   the offending schedule on stderr, plus the single command that
-   reproduces the run. The shape is pinned by `analyze --replay-demo` in
-   the cram suite, so scripts can rely on it. *)
-let print_generated_replay ~gen_seed ~families ~schedule ~seeds =
-  Printf.eprintf
-    "gate: generated program FAILED: progen seed %d, family %s, schedule \
-     %s\n"
-    gen_seed
-    (String.concat "+" families)
-    schedule;
-  Printf.eprintf
-    "gate: replay: velodrome analyze --generated 1 --gen-seed %d --seeds \
-     %s --gate\n"
-    gen_seed
-    (String.concat "," (List.map string_of_int seeds))
+module Gate = Velodrome_harness.Gate
 
 let analyze_cmd =
   let target =
@@ -520,10 +343,12 @@ let analyze_cmd =
           ~doc:
             "Soundness gate: additionally replay each program under \
              round-robin, random and adversarial schedules (one run per \
-             --seeds entry each) and fail if dynamic Velodrome ever blames \
-             a statically-proved block, or if Eraser or the \
-             happens-before detector warns about a variable in no static \
-             race pair.")
+             --seeds entry each) and fail if dynamic Velodrome blames a \
+             statically-proved block or one that is not may-violate, if \
+             Eraser or the happens-before detector warns about a variable \
+             in no static race pair, if the three atomicity engines \
+             disagree on a recorded trace, or if an execution breaks a \
+             value fact.")
   in
   let races_flag =
     Arg.(
@@ -574,14 +399,6 @@ let analyze_cmd =
       & info [ "gen-seed" ] ~docv:"S"
           ~doc:"First progen seed for --generated.")
   in
-  let replay_demo =
-    Arg.(
-      value & flag
-      & info [ "replay-demo" ]
-          ~doc:
-            "Print the replay message a failing generated gate would \
-             emit (for pinning its shape in tests) and exit.")
-  in
   let predict_flag =
     Arg.(
       value & flag
@@ -613,13 +430,7 @@ let analyze_cmd =
              are skipped.")
   in
   let run target all fmt gate races graph dot_dir generated gen_seed
-      replay_demo size seeds predict values_flag no_values =
-    if replay_demo then begin
-      print_generated_replay ~gen_seed:7
-        ~families:[ "publication"; "snapshot" ]
-        ~schedule:"adversarial(seed 2)" ~seeds;
-      exit 0
-    end;
+      size seeds predict values_flag no_values =
     let named =
       if all then
         List.map
@@ -660,29 +471,13 @@ let analyze_cmd =
             any_unknown := true;
           let gate_result =
             if gate then begin
-              let g = run_gate program st seeds in
-              if not (gate_ok g) then begin
-                gate_failed := true;
-                match origin with
-                | Some (s, families) ->
-                  let schedule =
-                    match
-                      ( g.blame_mismatches,
-                        g.uncovered_blames,
-                        g.uncovered_races,
-                        g.engine_disagreements )
-                    with
-                    | (sched, _) :: _, _, _, _
-                    | _, (sched, _) :: _, _, _
-                    | _, _, (sched, _, _) :: _, _
-                    | _, _, _, (sched, _) :: _ ->
-                      sched
-                    | [], [], [], [] -> "unknown"
-                  in
-                  print_generated_replay ~gen_seed:s ~families ~schedule
-                    ~seeds
-                | None -> ()
-              end;
+              let g = Gate.run program st ~seeds in
+              if not (Gate.ok g) then gate_failed := true;
+              Option.iter
+                (fun (s, families) ->
+                  List.iter prerr_endline
+                    (Gate.replay_lines ~gen_seed:s ~families ~seeds g))
+                origin;
               Some g
             end
             else None
@@ -695,24 +490,8 @@ let analyze_cmd =
                 | Some (s, _) -> Printf.sprintf "--gen-seed %d" s
                 | None -> name
               in
-              (* The prediction gate: re-replay every emitted prediction
-                 from its schedule line and re-certify with the trio. By
-                 construction Predict only emits certified predictions,
-                 so a recheck failure means the replay line itself does
-                 not reproduce — which is exactly what the gate exists
-                 to catch. *)
               let recheck_failures =
-                if gate then
-                  List.filter_map
-                    (fun (pr : Predict.prediction) ->
-                      match
-                        Predict.replay_and_certify program pr.Predict.label
-                          pr.Predict.plan.Pplan.waypoints
-                      with
-                      | Ok _ -> None
-                      | Error msg -> Some (pr.Predict.name, msg))
-                    (Predict.predictions p)
-                else []
+                if gate then Predict.recheck program p else []
               in
               if recheck_failures <> [] then gate_failed := true;
               Some (p, spec, recheck_failures)
@@ -722,7 +501,6 @@ let analyze_cmd =
           (name, pos, st, gate_result, predict_info))
         targets
     in
-    let schedules = List.length (gate_schedules seeds) in
     (match fmt with
     | `Human ->
       List.iter
@@ -750,181 +528,52 @@ let analyze_cmd =
                     Format.printf
                       "prediction gate: FAILED: %s: %s@." b msg)
                   fails);
-          match gate_result with
-          | None -> ()
-          | Some g when gate_ok g ->
-            Format.printf
-              "soundness gate: OK (%d schedules, %d dynamic warnings, no \
-               proved block blamed, every blamed block may-violate, every \
-               dynamic race statically covered, aero = velodrome = basic on \
-               every recorded trace%s)@."
-              schedules g.gate_warnings
-              (if Statics.values st <> None then
-                 ", no dead site executed, every observed value in its \
-                  static interval"
-               else "")
-          | Some g ->
-            List.iter
-              (fun (sched, label) ->
-                Format.printf
-                  "soundness gate: FAILED: proved block %s blamed under \
-                   %s@."
-                  label sched)
-              g.blame_mismatches;
-            List.iter
-              (fun (sched, label) ->
-                Format.printf
-                  "soundness gate: FAILED: blamed block %s is not \
-                   statically may-violate under %s@."
-                  label sched)
-              g.uncovered_blames;
-            List.iter
-              (fun (sched, analysis, var) ->
-                Format.printf
-                  "soundness gate: FAILED: %s warned about %s under %s but \
-                   no static race pair covers it@."
-                  analysis var sched)
-              g.uncovered_races;
-            List.iter
-              (fun (sched, msg) ->
-                Format.printf
-                  "soundness gate: FAILED: engines disagree under %s: %s@."
-                  sched msg)
-              g.engine_disagreements;
-            List.iter
-              (fun (sched, msg) ->
-                Format.printf
-                  "soundness gate: FAILED: value analysis unsound under \
-                   %s: %s@."
-                  sched msg)
-              g.value_violations)
+          Option.iter
+            (Format.printf "%a" (Gate.pp ~values:(Statics.values st <> None)))
+            gate_result)
         results
     | `Json ->
       let open Velodrome_util.Json in
       let docs =
         List.map
           (fun (name, pos, st, gate_result, predict_info) ->
-            let base = Statics.to_json ~pos ~file:name st in
-            let with_extras doc =
-              match doc with
-              | Obj fields ->
-                let fields =
-                  if values_flag then
-                    fields @ [ ("values", Statics.values_json st) ]
-                  else fields
+            let field on name doc = if on then [ (name, doc ()) ] else [] in
+            let predict_doc (p, spec, fails) =
+              match Predict.to_json ~replay_with:spec p with
+              | Obj pf when gate ->
+                let failure (b, msg) =
+                  Obj [ ("block", String b); ("message", String msg) ]
                 in
-                let fields =
-                  if races then
-                    fields @ [ ("races", Statics.races_to_json ~pos st) ]
-                  else fields
-                in
-                let fields =
-                  if graph then fields @ [ ("graph", Statics.graph_json st) ]
-                  else fields
-                in
-                let fields =
-                  match predict_info with
-                  | None -> fields
-                  | Some (p, spec, fails) ->
-                    let pdoc =
-                      match Predict.to_json ~replay_with:spec p with
-                      | Obj pf when gate ->
-                        Obj
-                          (pf
-                          @ [
-                              ( "gate",
-                                Obj
-                                  [
-                                    ( "recertified",
-                                      Int
-                                        (List.length (Predict.predictions p)
-                                        - List.length fails) );
-                                    ( "failures",
-                                      List
-                                        (List.map
-                                           (fun (b, msg) ->
-                                             Obj
-                                               [
-                                                 ("block", String b);
-                                                 ("message", String msg);
-                                               ])
-                                           fails) );
-                                    ("ok", Bool (fails = []));
-                                  ] );
-                            ])
-                      | pdoc -> pdoc
-                    in
-                    fields @ [ ("predict", pdoc) ]
-                in
-                Obj fields
-              | doc -> doc
-            in
-            with_extras
-              (match (base, gate_result) with
-              | Obj fields, Some g ->
                 Obj
-                  (fields
+                  (pf
                   @ [
                       ( "gate",
                         Obj
                           [
-                            ("schedules", Int schedules);
-                            ("dynamic_warnings", Int g.gate_warnings);
-                            ( "mismatches",
-                              List
-                                (List.map
-                                   (fun (sched, label) ->
-                                     Obj
-                                       [
-                                         ("label", String label);
-                                         ("schedule", String sched);
-                                       ])
-                                   g.blame_mismatches) );
-                            ( "uncovered_blames",
-                              List
-                                (List.map
-                                   (fun (sched, label) ->
-                                     Obj
-                                       [
-                                         ("label", String label);
-                                         ("schedule", String sched);
-                                       ])
-                                   g.uncovered_blames) );
-                            ( "uncovered_races",
-                              List
-                                (List.map
-                                   (fun (sched, analysis, var) ->
-                                     Obj
-                                       [
-                                         ("var", String var);
-                                         ("analysis", String analysis);
-                                         ("schedule", String sched);
-                                       ])
-                                   g.uncovered_races) );
-                            ( "engine_disagreements",
-                              List
-                                (List.map
-                                   (fun (sched, msg) ->
-                                     Obj
-                                       [
-                                         ("message", String msg);
-                                         ("schedule", String sched);
-                                       ])
-                                   g.engine_disagreements) );
-                            ( "value_violations",
-                              List
-                                (List.map
-                                   (fun (sched, msg) ->
-                                     Obj
-                                       [
-                                         ("message", String msg);
-                                         ("schedule", String sched);
-                                       ])
-                                   g.value_violations) );
-                            ("ok", Bool (gate_ok g));
+                            ( "recertified",
+                              Int
+                                (List.length (Predict.predictions p)
+                                - List.length fails) );
+                            ("failures", List (List.map failure fails));
+                            ("ok", Bool (fails = []));
                           ] );
                     ])
-              | doc, _ -> doc))
+              | pdoc -> pdoc
+            in
+            let extras =
+              Option.fold ~none:[]
+                ~some:(fun g -> [ ("gate", Gate.to_json g) ])
+                gate_result
+              @ field values_flag "values" (fun () -> Statics.values_json st)
+              @ field races "races" (fun () -> Statics.races_to_json ~pos st)
+              @ field graph "graph" (fun () -> Statics.graph_json st)
+              @ Option.fold ~none:[]
+                  ~some:(fun pi -> [ ("predict", predict_doc pi) ])
+                  predict_info
+            in
+            match Statics.to_json ~pos ~file:name st with
+            | Obj fields -> Obj (fields @ extras)
+            | doc -> doc)
           results
       in
       let out =
@@ -972,7 +621,7 @@ let analyze_cmd =
        ~exits)
     Term.(
       const run $ target $ all $ format_arg $ gate $ races_flag $ graph
-      $ dot_dir $ generated $ gen_seed $ replay_demo $ size_arg $ seeds
+      $ dot_dir $ generated $ gen_seed $ size_arg $ seeds
       $ predict_flag $ values_flag $ no_values)
 
 (* --- predict ----------------------------------------------------------------- *)
@@ -1236,15 +885,15 @@ let load_trace file =
     | Ok () -> (names, trace)
     | Error v -> fail (Trace.Ill_formed v))
 
-(* The back-ends of check-trace: like mk_backend, but the optimized
-   engine is built explicitly so the --stats reporter can probe its live
-   happens-before node count. *)
+(* The back-ends of check-trace, with the optimized engine built
+   explicitly so the --stats reporter can probe its live happens-before
+   node count. *)
 let stream_backends analyses =
   let engine = ref None in
   let backends names =
-    List.filter_map
+    List.map
       (function
-        | "velodrome" ->
+        | "velodrome", _ ->
           let eng = Velodrome_core.Engine.create names in
           engine := Some eng;
           let module E = struct
@@ -1257,19 +906,15 @@ let stream_backends analyses =
             let finish = Velodrome_core.Engine.finish
             let warnings = Velodrome_core.Engine.warnings
           end in
-          Some (Backend.make (module E) names)
-        | a -> (
-          match mk_backend names a with
-          | Some b -> Some b
-          | None ->
-            Printf.eprintf "unknown analysis %S (ignored)\n" a;
-            None))
+          Backend.make (module E) names
+        | _, m -> Backend.make m names)
       analyses
   in
   let live_nodes () =
     Option.fold ~none:0 ~some:Velodrome_core.Engine.nodes_live !engine
   in
-  (backends, if List.mem "velodrome" analyses then Some live_nodes else None)
+  ( backends,
+    if List.mem_assoc "velodrome" analyses then Some live_nodes else None )
 
 let print_stats (s : Driver.stats) =
   Printf.eprintf
@@ -1363,7 +1008,10 @@ let check_trace_cmd =
           the file. An ill-formed, truncated or corrupt trace exits 2 \
           after the result for its valid prefix."
        ~exits)
-    Term.(const run $ file $ analyses_arg $ stream $ stats $ format_arg)
+    Term.(
+      const run $ file
+      $ analyses_arg [ "velodrome"; "atomizer" ]
+      $ stream $ stats $ format_arg)
 
 let convert_cmd =
   let input =
@@ -1628,27 +1276,7 @@ let serve_cmd =
       & info [ "stats" ]
           ~doc:"Report per-stream timings and a pool summary to stderr.")
   in
-  let serve_analyses_arg =
-    Arg.(
-      value
-      & opt (list string) [ "velodrome" ]
-      & info [ "analysis"; "a"; "backend" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated back-ends: velodrome, velodrome-basic, aero, \
-             atomizer, eraser, hb, fasttrack, 2pl, 2pl-strict, empty \
-             (default: velodrome).")
-  in
   let run targets analyses jobs queue stats fmt =
-    (* Reject unknown back-ends before spawning anything. *)
-    let scratch = Velodrome_trace.Names.create () in
-    List.iter
-      (fun a ->
-        match mk_backend scratch a with
-        | Some _ -> ()
-        | None ->
-          Printf.eprintf "unknown analysis %S\n" a;
-          exit 2)
-      analyses;
     let paths =
       match Serve.expand_targets targets with
       | Ok paths -> paths
@@ -1656,7 +1284,7 @@ let serve_cmd =
         Printf.eprintf "%s\n" msg;
         exit 2
     in
-    let backends names = List.filter_map (mk_backend names) analyses in
+    let backends = make_backends analyses in
     let total = List.length paths in
     (* Per-stream output is check-trace's own (same check, same printer),
        and the ordered merge emits it in submission order — so the whole
@@ -1706,7 +1334,9 @@ let serve_cmd =
           domains, with deterministic, submission-ordered output."
        ~exits)
     Term.(
-      const run $ targets $ serve_analyses_arg $ jobs_arg $ queue_arg
+      const run $ targets
+      $ analyses_arg [ "velodrome" ]
+      $ jobs_arg $ queue_arg
       $ stats_flag $ format_arg)
 
 let () =

@@ -101,6 +101,14 @@ let replay_and_certify ?(max_steps = 200_000) program label plan =
     | Some idx -> Ok idx
     | None -> Error "replayed but the engine trio did not flame the block")
 
+let recheck program t =
+  List.filter_map
+    (fun p ->
+      match replay_and_certify program p.label p.plan.Plan.waypoints with
+      | Ok _ -> None
+      | Error msg -> Some (p.name, msg))
+    (predictions t)
+
 (* Labels the engine blamed on a trace: warning heads plus refuted lists. *)
 let blamed_labels names trace =
   let eng = Engine.create names in

@@ -80,8 +80,7 @@ val unpredicted_count : t -> int
 val certify : Names.t -> Label.t -> Trace.t -> int option
 (** Engine-trio certification: [Some first_error_index] when engine,
     basic and aero all report the trace non-serializable and each emits
-    a warning naming the label. Exposed so the CLI gate can re-certify
-    emitted predictions independently. *)
+    a warning naming the label. *)
 
 val replay_and_certify :
   ?max_steps:int ->
@@ -93,6 +92,13 @@ val replay_and_certify :
     [Ok first_error_index] or a human reason ([Infeasible ...] /
     uncertified). The gate replays every emitted prediction through
     this; the `--schedule` replay line goes through it too. *)
+
+val recheck : Velodrome_sim.Ast.program -> t -> (string * string) list
+(** The prediction gate: re-replay every emitted prediction from its
+    schedule through {!replay_and_certify}. Returns the [(block, reason)]
+    pairs that no longer certify — by construction none, unless the
+    replay line itself does not reproduce, which is what the gate exists
+    to catch. *)
 
 type verdict = Static of Statics.verdict | Predicted_violation of prediction
 (** The upgraded lattice: a [May_violate] block whose witness schedule

@@ -33,9 +33,6 @@ let trace_arbitrary cfg =
        (fun seed -> Gen.run (Rng.create seed) cfg)
        (QCheck.Gen.int_bound 1_000_000))
 
-let qsuite name cells =
-  (name, List.map (QCheck_alcotest.to_alcotest ~long:false) cells)
-
 (* Bytes allocated while [f] runs (see Stats.allocated_bytes for why not
    Gc.allocated_bytes). *)
 let allocated_bytes f =
@@ -102,9 +99,21 @@ let trace_warnings mk tr =
   let names = Names.create () in
   List.map project_warning (Backend.run_trace [ Backend.make (mk ()) names ] tr)
 
-(* Run one trace across N packaged back-ends independently and pair each
-   registry name with its projected warnings — the combinator behind
-   every "diff the back-ends" test. *)
-let diff_backends backends tr =
-  List.map (fun (name, mk) -> (name, trace_warnings mk tr)) backends
-
+(* Deferred publish: a writer updates b then a with no lock; a reader
+   snapshots both in one atomic. Round-robin runs the writer (thread 0)
+   first each round, so the reader's first read always lands after the
+   first write — clean — yet forcing read b ≺ write b ≺ write a ≺ read a
+   violates. Without [writes] the writer only yields: no race pair, and no
+   waypoint on thread 0 is ever reached. *)
+let scan_program ?(writes = true) () =
+  let module B = Velodrome_sim.Builder in
+  let b = B.create () in
+  let va = B.var b "a" in
+  let vb = B.var b "b" in
+  B.thread b
+    (if writes then [ B.write vb (B.i 1); B.write va (B.i 1) ] else [ B.yield ]);
+  B.thread b
+    (let r1 = B.fresh_reg b in
+     let r2 = B.fresh_reg b in
+     [ B.atomic (B.label b "scan") [ B.read r1 vb; B.read r2 va ] ]);
+  B.program b

@@ -51,7 +51,6 @@ let all_packaged names =
     Backend.make (Velodrome_eraser.Eraser.backend ()) names;
     Backend.make (Velodrome_atomizer.Atomizer.backend ()) names;
     Backend.make (Velodrome_hbrace.Hbrace.backend ()) names;
-    Backend.make (Velodrome_hbrace.Fasttrack.backend ()) names;
     Backend.make (Velodrome_twopl.Twopl.backend ()) names;
   ]
 

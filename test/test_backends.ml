@@ -134,65 +134,25 @@ let test_hb_program_order_clean () =
   let ws = feed hb [ wr t0 x; rd t0 x; wr t0 x ] in
   check int "single thread clean" 0 (List.length ws)
 
-(* --- Epochs and FastTrack -------------------------------------------------------- *)
-
-let test_epoch_pack () =
-  let open Velodrome_hbrace.Epoch in
-  let e = make ~tid:5 ~clock:1234 in
-  check int "tid" 5 (tid e);
-  check int "clock" 1234 (clock e);
-  check bool "none is none" true (is_none none);
-  check bool "made is not none" false (is_none e);
-  let c = Velodrome_util.Vclock.create () in
-  check bool "none leq everything" true (leq_vc none c);
-  check bool "not leq empty clock" false (leq_vc e c);
-  Velodrome_util.Vclock.set c 5 1234;
-  check bool "leq at exactly its clock" true (leq_vc e c)
-
-let fasttrack = Velodrome_hbrace.Fasttrack.backend ()
-
-let test_fasttrack_detects_race () =
-  let ws = feed fasttrack [ wr t0 x; wr t1 x ] in
-  check int "race" 1 (List.length ws)
-
-let test_fasttrack_lock_clean () =
+let test_hb_locked_read_then_write () =
   let ws =
-    feed fasttrack
+    feed hb
       [ acq t0 m; wr t0 x; rel t0 m; acq t1 m; rd t1 x; wr t1 x; rel t1 m ]
   in
-  check int "clean" 0 (List.length ws)
+  check int "lock-ordered read-modify-write is clean" 0 (List.length ws)
 
-let test_fasttrack_read_share_then_write () =
-  (* Concurrent reads force the read-vector inflation; a later write must
-     still see both. *)
-  let ws =
-    feed fasttrack
-      [ acq t0 m; wr t0 x; rel t0 m; acq t1 m; rel t1 m;
-        rd t0 x; rd t1 x;  (* concurrent reads: inflate *)
-        wr t2 x  (* races with both *) ]
+(* Concurrent reads by t0 and t1; t2 then synchronizes through n. A write
+   ordered after only the later read still races with the earlier one,
+   so the detector must keep every reader's clock, not just the last. *)
+let test_hb_shared_reads_then_write () =
+  let shared =
+    [ acq t0 m; wr t0 x; rel t0 m; acq t1 m; rel t1 m; rd t0 x; rd t1 x ]
   in
-  check int "read-write race caught after inflation" 1 (List.length ws)
-
-(* The headline differential property: FastTrack and the full-vector
-   detector flag exactly the same set of racy variables on every trace. *)
-let racy_vars b tr =
-  List.sort_uniq compare
-    (List.filter_map
-       (fun w -> Option.map Ids.Var.to_int w.Warning.var)
-       (feed b (Velodrome_trace.Trace.to_list tr)))
-
-let prop_fasttrack_equals_full_vc =
-  QCheck.Test.make ~count:400
-    ~name:"fasttrack = full vector clocks (racy variable sets)"
-    (trace_arbitrary
-       {
-         Velodrome_trace.Gen.default with
-         threads = 4;
-         vars = 3;
-         locks = 2;
-         steps = 50;
-       })
-    (fun tr -> racy_vars hb tr = racy_vars fasttrack tr)
+  let t1_to_t2 = [ acq t1 n; rel t1 n; acq t2 n; rel t2 n; wr t2 x ] in
+  let ws = feed hb (shared @ t1_to_t2) in
+  check int "write races with the unordered reader" 1 (List.length ws);
+  let ws = feed hb (shared @ [ acq t0 n; rel t0 n ] @ t1_to_t2) in
+  check int "write ordered after both readers is clean" 0 (List.length ws)
 
 (* --- Atomizer ----------------------------------------------------------------- *)
 
@@ -498,22 +458,12 @@ let test_aero_matches_basic_counts () =
    explicit happens-before graph) must agree on every trace: same
    verdict, same first violating event, and warning-for-warning
    agreement between Aero and Basic. Replayed over every workload and
-   over generated programs under the three schedule families of the PR 5
-   gate, with a one-command replay printed on mismatch. *)
+   over generated programs under the soundness gate's schedules, with a
+   one-command replay printed on mismatch. *)
 
 open Velodrome_sim
 
 let gate_seed = 7
-
-let gate_configs seed =
-  [
-    ("round-robin", { Run.default_config with policy = Run.Round_robin });
-    ( Printf.sprintf "random(seed %d)" seed,
-      { Run.default_config with policy = Run.Random seed } );
-    ( Printf.sprintf "adversarial(seed %d)" seed,
-      { Run.default_config with policy = Run.Random seed; adversarial = true }
-    );
-  ]
 
 let recorded_trace ~config program =
   let config = { config with Run.record_trace = true } in
@@ -527,7 +477,7 @@ let assert_trio what program =
       match Velodrome_harness.Trio.check (Names.create ()) tr with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "%s (schedule %s): %s" what sched msg)
-    (gate_configs gate_seed)
+    (Velodrome_harness.Gate.schedules [ gate_seed ])
 
 let test_trio_workloads () =
   List.iter
@@ -538,7 +488,7 @@ let test_trio_workloads () =
     Velodrome_workloads.Workload.all
 
 (* On a generated-program mismatch, identify the program exactly and
-   print the single command that replays it — the PR 5 gate idiom
+   print the single command that replays it, as the gate does
    (`analyze --gate` runs this same trio on its recorded traces). *)
 let prop_trio_generated =
   QCheck.Test.make ~count:300
@@ -561,7 +511,7 @@ let prop_trio_generated =
               seed
               (String.concat "+" info.Progen.families)
               sched msg seed gate_seed)
-        (gate_configs gate_seed);
+        (Velodrome_harness.Gate.schedules [ gate_seed ]);
       true)
 
 let suite =
@@ -584,12 +534,10 @@ let suite =
       Alcotest.test_case "hb unrelated lock" `Quick
         test_hb_not_fooled_by_unrelated_lock;
       Alcotest.test_case "hb program order" `Quick test_hb_program_order_clean;
-      Alcotest.test_case "epoch pack" `Quick test_epoch_pack;
-      Alcotest.test_case "fasttrack race" `Quick test_fasttrack_detects_race;
-      Alcotest.test_case "fasttrack locked" `Quick test_fasttrack_lock_clean;
-      Alcotest.test_case "fasttrack inflation" `Quick
-        test_fasttrack_read_share_then_write;
-      QCheck_alcotest.to_alcotest prop_fasttrack_equals_full_vc;
+      Alcotest.test_case "hb locked read then write" `Quick
+        test_hb_locked_read_then_write;
+      Alcotest.test_case "hb shared reads then write" `Quick
+        test_hb_shared_reads_then_write;
       Alcotest.test_case "atomizer reducible" `Quick test_atomizer_reducible_clean;
       Alcotest.test_case "atomizer nested locks" `Quick
         test_atomizer_two_locks_nested_clean;

@@ -169,6 +169,117 @@ let test_table2_multiset_row () =
   check bool "velodrome finds most" true
     (r.Velodrome_harness.Table2.velodrome_real >= 4)
 
+(* --- the soundness gate's rendering ------------------------------------------ *)
+
+module Gate = Velodrome_harness.Gate
+
+let gate failures = { Gate.schedules = 7; dynamic_warnings = 3; failures }
+
+(* The replay report of a failed gate over a generated program names the
+   first failure's schedule, whatever its kind. *)
+let test_gate_replay_lines () =
+  let lines =
+    Gate.replay_lines ~gen_seed:7 ~families:[ "publication"; "snapshot" ]
+      ~seeds:[ 1; 2; 3 ]
+  in
+  check
+    Alcotest.(list string)
+    "value violation only"
+    [
+      "gate: generated program FAILED: progen seed 7, family \
+       publication+snapshot, schedule adversarial(seed 2)";
+      "gate: replay: velodrome analyze --generated 1 --gen-seed 7 --seeds \
+       1,2,3 --gate";
+    ]
+    (lines
+       (gate
+          [
+            {
+              Gate.schedule = "adversarial(seed 2)";
+              kind = Gate.Value_unsound "event from statically-dead site t0:1";
+            };
+          ]));
+  check
+    Alcotest.(list string)
+    "passed gate" [] (lines (gate []))
+
+let test_gate_render_failures () =
+  let g =
+    gate
+      [
+        { Gate.schedule = "round-robin"; kind = Gate.Proved_blamed "A.m" };
+        {
+          Gate.schedule = "random(seed 1)";
+          kind = Gate.Uncovered_race { analysis = "eraser"; var = "x" };
+        };
+      ]
+  in
+  check bool "failed" false (Gate.ok g);
+  check Alcotest.string "human"
+    "soundness gate: FAILED: proved block A.m blamed under round-robin\n\
+     soundness gate: FAILED: eraser warned about x under random(seed 1) but \
+     no static race pair covers it\n"
+    (Format.asprintf "%a" (Gate.pp ~values:true) g);
+  let open Velodrome_util.Json in
+  let none = List [] in
+  check bool "json" true
+    (Gate.to_json g
+    = Obj
+        [
+          ("schedules", Int 7);
+          ("dynamic_warnings", Int 3);
+          ( "mismatches",
+            List
+              [
+                Obj
+                  [ ("label", String "A.m"); ("schedule", String "round-robin") ];
+              ] );
+          ("uncovered_blames", none);
+          ( "uncovered_races",
+            List
+              [
+                Obj
+                  [
+                    ("var", String "x");
+                    ("analysis", String "eraser");
+                    ("schedule", String "random(seed 1)");
+                  ];
+              ] );
+          ("engine_disagreements", none);
+          ("value_violations", none);
+          ("ok", Bool false);
+        ])
+
+let test_gate_schedules () =
+  check Alcotest.(list string) "names"
+    [ "round-robin"; "random(seed 7)"; "adversarial(seed 7)";
+      "random(seed 9)"; "adversarial(seed 9)" ]
+    (List.map fst (Gate.schedules [ 7; 9 ]))
+
+(* End to end: the gate passes a program against its own statics, and
+   fails it against statics that miss its races. *)
+let test_gate_run () =
+  let module Statics = Velodrome_statics.Statics in
+  let p = scan_program () in
+  let g = Gate.run p (Statics.analyze p) ~seeds:[ 7 ] in
+  if not (Gate.ok g) then
+    Alcotest.failf "gate failed on its own statics:\n%s"
+      (Format.asprintf "%a" (Gate.pp ~values:false) g);
+  check int "schedules" 3 g.Gate.schedules;
+  check bool "races warned" true (g.Gate.dynamic_warnings > 0);
+  let stale = Statics.analyze (scan_program ~writes:false ()) in
+  let g = Gate.run p stale ~seeds:[ 7 ] in
+  check bool "failed" false (Gate.ok g);
+  check bool "uncovered race under round-robin" true
+    (List.exists
+       (fun f ->
+         f.Gate.schedule = "round-robin"
+         &&
+         match f.Gate.kind with
+         | Gate.Uncovered_race { var; _ } -> var = "a" || var = "b"
+         | _ -> false)
+       g.Gate.failures)
+
 let suite =
   ( "harness",
     [
@@ -188,4 +299,9 @@ let suite =
       Alcotest.test_case "table2 totals" `Quick test_table2_totals;
       Alcotest.test_case "time_stable" `Quick test_time_stable_positive;
       Alcotest.test_case "table2 multiset row" `Slow test_table2_multiset_row;
+      Alcotest.test_case "gate replay lines" `Quick test_gate_replay_lines;
+      Alcotest.test_case "gate failure rendering" `Quick
+        test_gate_render_failures;
+      Alcotest.test_case "gate schedules" `Quick test_gate_schedules;
+      Alcotest.test_case "gate run" `Quick test_gate_run;
     ] )

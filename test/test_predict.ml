@@ -15,25 +15,7 @@ module Names = Velodrome_trace.Names
 let check = Alcotest.check
 
 let wp t p = { Constrain.wthread = t; wpath = p }
-
-(* Deferred publish: writer updates b then a; reader snapshots both in
-   one atomic. Round-robin runs the writer (thread 0) first each round,
-   so the reader's first read always lands after the first write — clean
-   — yet forcing read b ≺ write b ≺ write a ≺ read a violates. *)
-let scan_program () =
-  let b = Builder.create () in
-  let va = Builder.var b "a" in
-  let vb = Builder.var b "b" in
-  Builder.thread b
-    [ Builder.write vb (Builder.i 1); Builder.write va (Builder.i 1) ];
-  Builder.thread b
-    (let r1 = Builder.fresh_reg b in
-     let r2 = Builder.fresh_reg b in
-     [
-       Builder.atomic (Builder.label b "scan")
-         [ Builder.read r1 vb; Builder.read r2 va ];
-     ]);
-  Builder.program b
+let scan_program = Helpers.scan_program
 
 let find_block st name =
   match
@@ -307,6 +289,22 @@ let test_predict_latent_progen () =
   check Alcotest.bool "scan not blamed by the observation" false
     (List.mem "gen.lat.scan" blamed_names)
 
+(* The prediction gate re-replays each emitted schedule: on the program
+   it was planned for every prediction certifies again, and on one whose
+   writer never writes the scan's replay line cannot reproduce. *)
+let test_recheck () =
+  let p = scan_program () in
+  let t = Predict.run p (Statics.analyze p) in
+  check Alcotest.int "one prediction" 1 (List.length (Predict.predictions t));
+  check
+    Alcotest.(list (pair string string))
+    "every prediction re-certifies" [] (Predict.recheck p t);
+  match Predict.recheck (scan_program ~writes:false ()) t with
+  | [ ("scan", _) ] -> ()
+  | failed ->
+    Alcotest.failf "expected the scan prediction to fail, got %d failures"
+      (List.length failed)
+
 let suite =
   ( "predict",
     [
@@ -332,4 +330,6 @@ let suite =
         test_predict_write_skew;
       Alcotest.test_case "predict: latent progen family" `Quick
         test_predict_latent_progen;
+      Alcotest.test_case "predict: recheck re-certifies" `Quick
+        test_recheck;
     ] )

@@ -780,126 +780,14 @@ let prop_generated_wellformed =
       in
       not res.Run.deadlocked)
 
-(* The three schedule families of the soundness gate. *)
-let gate_configs seed =
-  [
-    { Run.default_config with policy = Run.Round_robin };
-    { Run.default_config with policy = Run.Random seed };
-    { Run.default_config with policy = Run.Random seed; adversarial = true };
-  ]
-
-(* Run dynamic Velodrome plus the two race detectors; return every label
-   the blame analysis refuted and every variable Eraser or the
-   happens-before detector warned about. *)
-let dynamic_results program config =
-  let names = program.Ast.names in
-  let backends =
-    [
-      Backend.make (Velodrome_core.Engine.backend ()) names;
-      Backend.make (Velodrome_eraser.Eraser.backend ()) names;
-      Backend.make (Velodrome_hbrace.Hbrace.backend ()) names;
-    ]
-  in
-  let res = Run.run ~config program backends in
-  let refuted =
-    List.concat_map (fun (w : Warning.t) -> w.Warning.refuted) res.Run.warnings
-  in
-  let race_vars =
-    List.filter_map
-      (fun (w : Warning.t) ->
-        match (w.Warning.kind, w.Warning.var) with
-        | Warning.Race, Some x -> Some x
-        | _ -> None)
-      res.Run.warnings
-  in
-  (refuted, race_vars)
-
-let statically_may_violate st l =
-  List.exists
-    (fun b ->
-      Velodrome_trace.Ids.Label.equal b.Statics.label l
-      &&
-      match b.Statics.verdict with
-      | Statics.May_violate _ -> true
-      | _ -> false)
-    (Statics.blocks st)
-
-(* Both directions of the soundness gate: no proved block is ever refuted
-   by dynamic Velodrome and every refuted block is statically may-violate
-   (dynamic blame is a real non-serializable cycle, and the static graph
-   over-approximates every dynamic edge, so a blamed block that is
-   cycle-free — or even budget-exhausted, at these program sizes — is a
-   statics bug); and every dynamic race warning is covered by a static
-   race pair on the same variable (a pair-free variable is race-free on
-   every execution).
-
-   The value-analysis obligations ride along on an execution hook: no
-   instruction may ever run at a statically-dead site, and every value a
-   [Local]/[Read]/[Write] produces must lie within the site's static
-   interval fact. *)
-let value_observer vals violation =
-  Option.map
-    (fun v (o : Interp.obs) ->
-      if !violation = None then begin
-        let site = { Cfg.thread = o.Interp.o_thread; path = o.Interp.o_path } in
-        if Values.dead_site v site then
-          violation :=
-            Some
-              (Printf.sprintf "instruction executed at dead site %s"
-                 (Cfg.site_to_string site))
-        else
-          match (o.Interp.o_value, Values.fact_at v site) with
-          | Some x, Some f when not (Values.mem x f.Values.itv) ->
-            violation :=
-              Some
-                (Printf.sprintf "value %d at %s outside static interval %s" x
-                   (Cfg.site_to_string site)
-                   (Values.itv_to_string f.Values.itv))
-          | _ -> ()
-      end)
-    vals
-
-let assert_gate what program st =
-  let races = Statics.races st in
-  let vals = Statics.values st in
-  List.iteri
-    (fun k config ->
-      let violation = ref None in
-      let config =
-        { config with Run.observe = value_observer vals violation }
-      in
-      let refuted, race_vars = dynamic_results program config in
-      (match !violation with
-      | Some msg -> Alcotest.failf "%s: %s (schedule %d)" what msg k
-      | None -> ());
-      List.iter
-        (fun l ->
-          if Statics.proved st l then
-            Alcotest.failf
-              "%s: statically-proved block %s refuted dynamically (schedule \
-               %d)"
-              what
-              (Velodrome_trace.Names.label_name program.Ast.names l)
-              k
-          else if not (statically_may_violate st l) then
-            Alcotest.failf
-              "%s: dynamically blamed block %s is not statically \
-               may-violate (schedule %d)"
-              what
-              (Velodrome_trace.Names.label_name program.Ast.names l)
-              k)
-        refuted;
-      List.iter
-        (fun x ->
-          if not (Velodrome_statics.Races.racy_var races x) then
-            Alcotest.failf
-              "%s: dynamic race on %s covered by no static race pair \
-               (schedule %d)"
-              what
-              (Velodrome_trace.Names.var_name program.Ast.names x)
-              k)
-        race_vars)
-    (gate_configs 7)
+(* The soundness gate (Velodrome_harness.Gate) under the round-robin,
+   random and adversarial schedules of seed 7. *)
+let check_gate what program st =
+  let g = Velodrome_harness.Gate.run program st ~seeds:[ 7 ] in
+  if not (Velodrome_harness.Gate.ok g) then
+    Alcotest.failf "%s:@.%a" what
+      (Velodrome_harness.Gate.pp ~values:(Statics.values st <> None))
+      g
 
 let prop_gate_generated =
   QCheck.Test.make ~count:300
@@ -908,7 +796,7 @@ let prop_gate_generated =
     (fun seed ->
       let p = generate seed in
       let st = Statics.analyze p in
-      assert_gate (Printf.sprintf "seed %d" seed) p st;
+      check_gate (Printf.sprintf "seed %d" seed) p st;
       true)
 
 let test_gate_workloads () =
@@ -916,7 +804,7 @@ let test_gate_workloads () =
     (fun w ->
       let program = w.Workload.build Workload.Small in
       let st = Statics.analyze program in
-      assert_gate w.Workload.name program st)
+      check_gate w.Workload.name program st)
     Workload.all
 
 (* --- the filter differential ------------------------------------------------- *)
@@ -930,8 +818,7 @@ let six_backends names =
       fun () -> Backend.make (Velodrome_atomizer.Atomizer.backend ()) names );
     ("eraser", fun () -> Backend.make (Velodrome_eraser.Eraser.backend ()) names);
     ("hb", fun () -> Backend.make (Velodrome_hbrace.Hbrace.backend ()) names);
-    ( "fasttrack",
-      fun () -> Backend.make (Velodrome_hbrace.Fasttrack.backend ()) names );
+    ("aero", fun () -> Backend.make (Velodrome_core.Aero.backend ()) names);
   ]
 
 (* Warnings projected to comparable keys, excluding those attributed to

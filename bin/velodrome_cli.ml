@@ -2,14 +2,18 @@
 
    Subcommands:
    - list            benchmark workloads and their ground truth
-   - run             run a workload under selected analyses
-   - check           parse, statically check and analyze a .vel file
-   - analyze         static mover/lockset pre-pass (Lipton reduction)
-   - predict         witness-guided predictive atomicity (forced replays)
+   - run             run a workload or a .vel program under selected analyses
+   - analyze         the static report (Velodrome_harness.Report): verdicts,
+                     races, values, conflict graph, soundness gate and
+                     witness-guided prediction; --schedule replays one
+                     prediction
+   - print           print a workload as .vel source
    - record          record a workload (or .vel program) trace to a file
    - check-trace     replay a recorded trace (text or binary), streaming
    - serve           check many trace files on a pool of domains
    - convert         convert traces between the text and binary formats
+   - minimize        shrink a non-serializable trace to a minimal witness
+   - fuzz            random traces through the engine trio and the oracle
    - table1          regenerate Table 1 (slowdowns, node statistics)
    - table2          regenerate Table 2 (warning classification)
    - study           adversarial-scheduling studies (coverage, injection)
@@ -27,26 +31,17 @@ open Cmdliner
 open Velodrome_analysis
 open Velodrome_workloads
 
-let size_conv =
-  let parse = function
-    | "small" -> Ok Workload.Small
-    | "medium" -> Ok Workload.Medium
-    | "large" -> Ok Workload.Large
-    | s -> Error (`Msg (Printf.sprintf "unknown size %S" s))
-  in
-  let print ppf s =
-    Format.fprintf ppf "%s"
-      (match s with
-      | Workload.Small -> "small"
-      | Workload.Medium -> "medium"
-      | Workload.Large -> "large")
-  in
-  Arg.conv (parse, print)
-
 let size_arg =
   Arg.(
     value
-    & opt size_conv Workload.Medium
+    & opt
+        (enum
+           [
+             ("small", Workload.Small);
+             ("medium", Workload.Medium);
+             ("large", Workload.Large);
+           ])
+        Workload.Medium
     & info [ "size" ] ~docv:"SIZE" ~doc:"Workload size: small, medium, large.")
 
 let seed_arg =
@@ -79,9 +74,6 @@ let exits =
          ill-formed trace files.";
     Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on unexpected internal errors.";
   ]
-
-(* Violations exit 1, so scripts and CI can gate on the status alone. *)
-let exit_violations = function [] -> () | _ :: _ -> exit 1
 
 (* The one table of back-ends that -a accepts. *)
 let backends : (string * (module Backend.S)) list =
@@ -151,10 +143,7 @@ let report_warnings names warnings =
   if warnings = [] then print_endline "No warnings."
   else begin
     Printf.printf "%d warning(s):\n" (List.length warnings);
-    List.iter
-      (fun w ->
-        Format.printf "  %a@." (Warning.pp names) w)
-      warnings
+    List.iter (Format.printf "  %a@." (Warning.pp names)) warnings
   end
 
 let dump_dots dir names warnings =
@@ -173,9 +162,7 @@ let dump_dots dir names warnings =
             (Printf.sprintf "%s.dot"
                (String.map (function '.' | '/' -> '_' | c -> c) label))
         in
-        let oc = open_out path in
-        output_string oc dot;
-        close_out oc;
+        Out_channel.with_open_bin path (fun oc -> output_string oc dot);
         Printf.printf "  error graph written to %s\n" path
       | None -> ())
     warnings
@@ -205,22 +192,24 @@ let parse_vel file =
   | program, positions ->
     (checked_program file program, fun l -> List.assoc_opt l positions)
 
-let build_workload size w =
-  checked_program w.Workload.name (w.Workload.build size)
+module Report = Velodrome_harness.Report
 
 (* A program target is a .vel source file or a workload name; workloads
    are built in memory and have no source positions. *)
-let build_program_info name size =
-  if Filename.check_suffix name ".vel" && Sys.file_exists name then
-    parse_vel name
-  else
-    match Workload.find name with
-    | None ->
-      Printf.eprintf "unknown workload %S\n" name;
-      exit 2
-    | Some w -> (build_workload size w, fun _ -> None)
+let build_target name size =
+  let program, pos =
+    if Filename.check_suffix name ".vel" && Sys.file_exists name then
+      parse_vel name
+    else
+      match Workload.find name with
+      | None ->
+        Printf.eprintf "unknown workload %S\n" name;
+        exit 2
+      | Some w -> (checked_program name (w.Workload.build size), fun _ -> None)
+  in
+  { Report.name; program; pos; generated = None }
 
-let build_program name size = fst (build_program_info name size)
+let build_program name size = (build_target name size).Report.program
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -229,10 +218,9 @@ let list_cmd =
     List.iter
       (fun w ->
         Printf.printf "%-11s %s\n" w.Workload.name w.Workload.description;
-        let non_atomic = Workload.non_atomic_count w in
-        let total = List.length w.Workload.methods in
         Printf.printf "            methods: %d (%d with real violations)\n"
-          total non_atomic)
+          (List.length w.Workload.methods)
+          (Workload.non_atomic_count w))
       Workload.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List benchmark workloads.")
@@ -274,7 +262,7 @@ let run_cmd =
     let warnings = Warning.dedup_by_label res.Velodrome_sim.Run.warnings in
     report_warnings names warnings;
     Option.iter (fun dir -> dump_dots dir names warnings) dot_dir;
-    exit_violations warnings
+    if warnings <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under selected analyses." ~exits)
@@ -282,48 +270,7 @@ let run_cmd =
       const run $ workload $ size_arg $ seed_arg $ adversarial_arg
       $ analyses_arg [ "velodrome"; "atomizer" ] $ dot_dir $ spec_arg)
 
-(* --- check --------------------------------------------------------------- *)
-
-let check_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"A .vel program file.")
-  in
-  let run file seed adversarial analyses spec =
-    let program, _ = parse_vel file in
-    let names = program.Velodrome_sim.Ast.names in
-    let backends =
-      make_backends analyses names |> apply_spec (load_spec spec) names
-    in
-    let config =
-      {
-        Velodrome_sim.Run.default_config with
-        policy = Velodrome_sim.Run.Random seed;
-        adversarial;
-      }
-    in
-    let res = Velodrome_sim.Run.run ~config program backends in
-    Printf.printf "%s: %d events%s\n" file res.Velodrome_sim.Run.events
-      (if res.Velodrome_sim.Run.deadlocked then " (DEADLOCK)" else "");
-    let warnings = Warning.dedup_by_label res.Velodrome_sim.Run.warnings in
-    report_warnings names warnings;
-    exit_violations warnings
-  in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Check a .vel program file for atomicity." ~exits)
-    Term.(
-      const run $ file $ seed_arg $ adversarial_arg
-      $ analyses_arg [ "velodrome"; "atomizer" ]
-      $ spec_arg)
-
 (* --- analyze ----------------------------------------------------------------- *)
-
-module Statics = Velodrome_statics.Statics
-module Predict = Velodrome_predict.Predict
-module Pplan = Velodrome_predict.Plan
-module Gate = Velodrome_harness.Gate
 
 let analyze_cmd =
   let target =
@@ -341,22 +288,21 @@ let analyze_cmd =
       value & flag
       & info [ "gate" ]
           ~doc:
-            "Soundness gate: additionally replay each program under \
-             round-robin, random and adversarial schedules (one run per \
-             --seeds entry each) and fail if dynamic Velodrome blames a \
-             statically-proved block or one that is not may-violate, if \
-             Eraser or the happens-before detector warns about a variable \
-             in no static race pair, if the three atomicity engines \
-             disagree on a recorded trace, or if an execution breaks a \
-             value fact.")
+            "Soundness gate: also replay each program under round-robin, \
+             random and adversarial schedules (one run per --seeds entry \
+             each) and fail on any broken obligation of \
+             Velodrome_harness.Gate: a proved or not may-violate block \
+             blamed, a dynamic race outside every static race pair, \
+             disagreeing engines, or a broken value fact.")
   in
   let races_flag =
     Arg.(
       value & flag
       & info [ "races" ]
           ~doc:
-            "Also report every static race pair (as the races subcommand \
-             does).")
+            "Also report every static race pair: each ordered pair of \
+             conflicting access sites that may run in parallel and share \
+             no lock, with the atomic blocks it endangers.")
   in
   let seeds =
     Arg.(
@@ -404,12 +350,10 @@ let analyze_cmd =
       value & flag
       & info [ "predict" ]
           ~doc:
-            "Witness-guided prediction: lower each may-violate block's \
-             witness cycles into forced schedules, replay them, and \
-             upgrade the verdict to predicted-violation when the engine \
-             trio certifies the forced trace. With --gate, every emitted \
-             prediction is additionally re-replayed and re-certified; an \
-             uncertified prediction fails the gate.")
+            "Witness-guided prediction: replay each may-violate block's \
+             witness cycles as forced schedules and report the ones the \
+             engine trio certifies, each with a replay line. With --gate, \
+             every prediction is replayed again and must re-certify.")
   in
   let values_flag =
     Arg.(
@@ -429,230 +373,12 @@ let analyze_cmd =
              feeds the static passes and the --gate value obligations \
              are skipped.")
   in
-  let run target all fmt gate races graph dot_dir generated gen_seed
-      size seeds predict values_flag no_values =
-    let named =
-      if all then
-        List.map
-          (fun w ->
-            (w.Workload.name, build_workload size w, (fun _ -> None), None))
-          Workload.all
-      else
-        match target with
-        | None when generated > 0 -> []
-        | None ->
-          Printf.eprintf "analyze: a TARGET (or --all) is required\n";
-          exit 2
-        | Some name ->
-          let program, pos = build_program_info name size in
-          [ (name, program, pos, None) ]
-    in
-    let targets =
-      named
-      @ List.init generated (fun k ->
-            let s = gen_seed + k in
-            let name = Printf.sprintf "generated(progen seed %d)" s in
-            let program, info =
-              Velodrome_sim.Progen.generate_info
-                (Velodrome_util.Rng.create s)
-            in
-            ( name,
-              checked_program name program,
-              (fun _ -> None),
-              Some (s, info.Velodrome_sim.Progen.families) ))
-    in
-    let any_unknown = ref false in
-    let gate_failed = ref false in
-    let results =
-      List.map
-        (fun (name, program, pos, origin) ->
-          let st = Statics.analyze ~values:(not no_values) program in
-          if Statics.proved_count st < Statics.block_count st then
-            any_unknown := true;
-          let gate_result =
-            if gate then begin
-              let g = Gate.run program st ~seeds in
-              if not (Gate.ok g) then gate_failed := true;
-              Option.iter
-                (fun (s, families) ->
-                  List.iter prerr_endline
-                    (Gate.replay_lines ~gen_seed:s ~families ~seeds g))
-                origin;
-              Some g
-            end
-            else None
-          in
-          let predict_info =
-            if predict then begin
-              let p = Predict.run program st in
-              let spec =
-                match origin with
-                | Some (s, _) -> Printf.sprintf "--gen-seed %d" s
-                | None -> name
-              in
-              let recheck_failures =
-                if gate then Predict.recheck program p else []
-              in
-              if recheck_failures <> [] then gate_failed := true;
-              Some (p, spec, recheck_failures)
-            end
-            else None
-          in
-          (name, pos, st, gate_result, predict_info))
-        targets
-    in
-    (match fmt with
-    | `Human ->
-      List.iter
-        (fun (name, pos, st, gate_result, predict_info) ->
-          if all || generated > 0 then Format.printf "== %s ==@." name;
-          Format.printf "%a" (Statics.pp_human ~pos) st;
-          if values_flag then Format.printf "%a" Statics.pp_values_human st;
-          if races then Format.printf "%a" (Statics.pp_races_human ~pos) st;
-          if graph then Format.printf "%a" Statics.pp_graph_human st;
-          (match predict_info with
-          | None -> ()
-          | Some (p, spec, fails) ->
-            Format.printf "%a" (Predict.pp_human ~replay_with:spec) p;
-            if gate then
-              if fails = [] then
-                Format.printf
-                  "prediction gate: OK (%d prediction%s re-certified by \
-                   replay)@."
-                  (List.length (Predict.predictions p))
-                  (if List.length (Predict.predictions p) = 1 then ""
-                   else "s")
-              else
-                List.iter
-                  (fun (b, msg) ->
-                    Format.printf
-                      "prediction gate: FAILED: %s: %s@." b msg)
-                  fails);
-          Option.iter
-            (Format.printf "%a" (Gate.pp ~values:(Statics.values st <> None)))
-            gate_result)
-        results
-    | `Json ->
-      let open Velodrome_util.Json in
-      let docs =
-        List.map
-          (fun (name, pos, st, gate_result, predict_info) ->
-            let field on name doc = if on then [ (name, doc ()) ] else [] in
-            let predict_doc (p, spec, fails) =
-              match Predict.to_json ~replay_with:spec p with
-              | Obj pf when gate ->
-                let failure (b, msg) =
-                  Obj [ ("block", String b); ("message", String msg) ]
-                in
-                Obj
-                  (pf
-                  @ [
-                      ( "gate",
-                        Obj
-                          [
-                            ( "recertified",
-                              Int
-                                (List.length (Predict.predictions p)
-                                - List.length fails) );
-                            ("failures", List (List.map failure fails));
-                            ("ok", Bool (fails = []));
-                          ] );
-                    ])
-              | pdoc -> pdoc
-            in
-            let extras =
-              Option.fold ~none:[]
-                ~some:(fun g -> [ ("gate", Gate.to_json g) ])
-                gate_result
-              @ field values_flag "values" (fun () -> Statics.values_json st)
-              @ field races "races" (fun () -> Statics.races_to_json ~pos st)
-              @ field graph "graph" (fun () -> Statics.graph_json st)
-              @ Option.fold ~none:[]
-                  ~some:(fun pi -> [ ("predict", predict_doc pi) ])
-                  predict_info
-            in
-            match Statics.to_json ~pos ~file:name st with
-            | Obj fields -> Obj (fields @ extras)
-            | doc -> doc)
-          results
-      in
-      let out =
-        match docs with
-        | [ d ] when (not all) && generated = 0 -> d
-        | ds -> List ds
-      in
-      print_endline (to_string out));
-    Option.iter
-      (fun dir ->
-        (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        List.iter
-          (fun (name, _, st, _, _) ->
-            let slug =
-              String.map
-                (function '.' | '/' | '(' | ')' | ' ' -> '_' | c -> c)
-                name
-            in
-            List.iter
-              (fun (kind, dot) ->
-                let path =
-                  Filename.concat dir
-                    (Printf.sprintf "%s.%s.dot" slug kind)
-                in
-                let oc = open_out path in
-                output_string oc dot;
-                close_out oc;
-                match fmt with
-                | `Human -> Printf.printf "static graph written to %s\n" path
-                | `Json -> ())
-              (Statics.graph_dots st))
-          results)
-      dot_dir;
-    if !gate_failed then exit 1;
-    if (not gate) && !any_unknown then exit 1
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Static atomicity pre-pass: per-thread CFGs, must-lockset \
-          dataflow, Lipton mover classification, a reduction check per \
-          atomic block and a transactional conflict-graph cycle search. \
-          Exits 0 when every block is proved atomic, 1 otherwise (or on \
-          a failed --gate)."
-       ~exits)
-    Term.(
-      const run $ target $ all $ format_arg $ gate $ races_flag $ graph
-      $ dot_dir $ generated $ gen_seed $ size_arg $ seeds
-      $ predict_flag $ values_flag $ no_values)
-
-(* --- predict ----------------------------------------------------------------- *)
-
-let predict_cmd =
-  let target =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:
-            "A .vel program file or workload name (or use --gen-seed for \
-             a generated program).")
-  in
-  let gen_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gen-seed" ] ~docv:"S"
-          ~doc:
-            "Predict on the generated program with progen seed S instead \
-             of a TARGET.")
-  in
   let block =
     Arg.(
       value
       & opt (some string) None
       & info [ "block" ] ~docv:"NAME"
-          ~doc:
-            "Restrict prediction to the atomic block NAME (required by \
-             --schedule).")
+          ~doc:"The atomic block a --schedule replay is certified against.")
   in
   let schedule =
     Arg.(
@@ -660,162 +386,87 @@ let predict_cmd =
       & opt (some string) None
       & info [ "schedule" ] ~docv:"PLAN"
           ~doc:
-            "Replay one waypoint schedule (the payload of a prediction's \
-             replay line, e.g. \"t0@1.0 -> t1@2\") against --block and \
-             certify it with the engine trio, instead of planning from \
-             witnesses.")
+            "Instead of reporting, replay one waypoint schedule (a replay \
+             line's payload, e.g. \"t0@1.0 -> t1@2\") on the one program \
+             given and certify it against --block: exit 1 when \
+             certified, 0 when not.")
   in
-  let max_witnesses =
-    Arg.(
-      value & opt int 8
-      & info [ "max-witnesses" ] ~docv:"N"
-          ~doc:"Witness cycles tried per may-violate block.")
+  let usage msg =
+    Printf.eprintf "analyze: %s\n" msg;
+    exit 2
   in
-  let run target gen_seed block schedule fmt size max_witnesses =
-    let spec, program =
-      match (target, gen_seed) with
-      | Some _, Some _ ->
-        Printf.eprintf "predict: TARGET and --gen-seed are mutually \
-                        exclusive\n";
-        exit 2
-      | None, None ->
-        Printf.eprintf "predict: a TARGET or --gen-seed is required\n";
-        exit 2
-      | Some name, None -> (name, build_program name size)
-      | None, Some s ->
-        let spec = Printf.sprintf "--gen-seed %d" s in
-        ( spec,
-          checked_program spec
-            (fst
-               (Velodrome_sim.Progen.generate_info
-                  (Velodrome_util.Rng.create s))) )
-    in
-    let st = Statics.analyze program in
-    match schedule with
-    | Some sch -> begin
-      let bname =
-        match block with
-        | Some b -> b
-        | None ->
-          Printf.eprintf "predict: --schedule requires --block\n";
-          exit 2
-      in
-      let blk =
-        match
-          List.find_opt
-            (fun (b : Statics.block) -> b.Statics.name = bname)
-            (Statics.blocks st)
-        with
-        | Some b -> b
-        | None ->
-          Printf.eprintf "predict: no atomic block named %S\n" bname;
-          exit 2
-      in
-      match Pplan.parse_schedule sch with
-      | Error msg ->
-        Printf.eprintf "predict: bad --schedule: %s\n" msg;
-        exit 2
-      | Ok plan -> (
-        match Predict.replay_and_certify program blk.Statics.label plan with
-        | Ok idx ->
-          Format.printf
-            "%s: certified violation at event %d under the forced \
-             schedule@."
-            bname idx;
-          exit 1
-        | Error msg ->
-          Format.printf "%s: not certified: %s@." bname msg;
-          exit 0)
-    end
-    | None ->
-      let p = Predict.run ?only:block ~max_witnesses program st in
-      (match fmt with
-      | `Human -> Format.printf "%a" (Predict.pp_human ~replay_with:spec) p
-      | `Json ->
-        print_endline
-          (Velodrome_util.Json.to_string
-             (Predict.to_json ~file:spec ~replay_with:spec p)));
-      if Predict.predictions p <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "predict"
-       ~doc:
-         "Witness-guided predictive atomicity: lower each statically \
-          may-violate block's witness cycles into forced schedules, \
-          replay them deterministically, and report only violations the \
-          engine trio certifies on the forced trace. Exits 1 when \
-          predictions are emitted, 0 when none."
-       ~exits)
-    Term.(
-      const run $ target $ gen_seed $ block $ schedule $ format_arg
-      $ size_arg $ max_witnesses)
-
-(* --- races ------------------------------------------------------------------- *)
-
-let races_cmd =
-  let target =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"A .vel program file or workload name (omit with --all).")
-  in
-  let all =
-    Arg.(value & flag & info [ "all" ] ~doc:"Report every workload.")
-  in
-  let run target all fmt size =
-    let targets =
+  let run target all fmt gate races graph dot_dir generated gen_seed size
+      seeds predict show_values no_values block schedule =
+    let named =
       if all then
-        List.map
-          (fun w -> (w.Workload.name, build_workload size w, fun _ -> None))
-          Workload.all
+        List.map (fun w -> build_target w.Workload.name size) Workload.all
       else
         match target with
-        | None ->
-          Printf.eprintf "races: a TARGET (or --all) is required\n";
-          exit 2
-        | Some name ->
-          let program, pos = build_program_info name size in
-          [ (name, program, pos) ]
+        | None when generated > 0 -> []
+        | None -> usage "a TARGET (or --all) is required"
+        | Some name -> [ build_target name size ]
     in
-    let any_races = ref false in
-    let results =
-      List.map
-        (fun (name, program, pos) ->
-          let st = Statics.analyze program in
-          if Statics.race_pair_count st > 0 then any_races := true;
-          (name, pos, st))
-        targets
+    let targets =
+      named
+      @ List.init generated (fun k ->
+            let t = Report.progen (gen_seed + k) in
+            { t with program = checked_program t.Report.name t.Report.program })
     in
-    (match fmt with
-    | `Human ->
-      List.iter
-        (fun (name, pos, st) ->
-          if all then Format.printf "== %s ==@." name;
-          Format.printf "%a" (Statics.pp_races_human ~pos) st)
-        results
-    | `Json ->
-      let open Velodrome_util.Json in
-      let docs =
-        List.map
-          (fun (name, pos, st) -> Statics.races_to_json ~pos ~file:name st)
-          results
+    match (block, schedule, targets) with
+    | Some block, Some schedule, [ t ] -> (
+      match Report.replay t ~block ~schedule with
+      | Error msg -> usage msg
+      | Ok r ->
+        Format.printf "%a" (Report.pp_replay ~block) r;
+        match r with Report.Certified _ -> exit 1 | Report.Not_certified _ -> ())
+    | Some _, Some _, _ ->
+      usage "--schedule replays one program: a TARGET or --generated 1"
+    | Some _, None, _ -> usage "--block requires --schedule"
+    | None, Some _, _ -> usage "--schedule requires --block"
+    | None, None, _ ->
+      let report =
+        Report.run
+          {
+            Report.values = not no_values;
+            show_values;
+            races;
+            graph;
+            gate = (if gate then Some seeds else None);
+            predict;
+          }
+          targets
       in
-      let out = match docs with [ d ] when not all -> d | ds -> List ds in
-      print_endline (to_string out));
-    if !any_races then exit 1
+      List.iter prerr_endline (Report.replay_lines report);
+      let single = (not all) && generated = 0 in
+      (match fmt with
+      | `Human -> Format.printf "%a" (Report.pp_human ~single) report
+      | `Json ->
+        print_endline
+          (Velodrome_util.Json.to_string (Report.to_json ~single report)));
+      Option.iter
+        (fun dir ->
+          List.iter
+            (fun path ->
+              if fmt = `Human then
+                Printf.printf "static graph written to %s\n" path)
+            (Report.write_dots dir report))
+        dot_dir;
+      exit (Report.exit_code report)
   in
   Cmd.v
-    (Cmd.info "races"
+    (Cmd.info "analyze"
        ~doc:
-         "Whole-program pairwise static race detection: for every ordered \
-          pair of conflicting access sites that may run in parallel, \
-          intersect their must-locksets and report the pairs with no \
-          common lock, with the atomic blocks each pair endangers. Exits \
-          0 when no race pair is found, 1 when at least one is reported, \
-          2 on unparseable or ill-formed input."
+         "Static atomicity pre-pass: per-thread CFGs, must-lockset \
+          dataflow, Lipton mover classification, a reduction check per \
+          atomic block and a transactional conflict-graph cycle search, \
+          with optional race pairs, value facts, soundness gate and \
+          witness-guided prediction. Exits 0 when every block is proved \
+          atomic, 1 otherwise (or on a failed --gate)."
        ~exits)
-    Term.(const run $ target $ all $ format_arg $ size_arg)
+    Term.(
+      const run $ target $ all $ format_arg $ gate $ races_flag $ graph
+      $ dot_dir $ generated $ gen_seed $ size_arg $ seeds $ predict_flag
+      $ values_flag $ no_values $ block $ schedule)
 
 (* --- trace files ------------------------------------------------------------ *)
 
@@ -823,8 +474,8 @@ let races_cmd =
    sniffed by magic, so either format is accepted everywhere. *)
 let binary_path path = Filename.check_suffix path ".velb"
 
-let write_trace names trace path =
-  if binary_path path then
+let write_trace ?binary names trace path =
+  if Option.value binary ~default:(binary_path path) then
     Velodrome_trace.Trace_codec.write_file names trace path
   else Velodrome_trace.Trace_io.write_file names trace path
 
@@ -1036,12 +687,8 @@ let convert_cmd =
   in
   let run input output to_format =
     let names, trace = load_trace input in
-    let binary =
-      match to_format with Some b -> b | None -> binary_path output
-    in
-    if binary then
-      Velodrome_trace.Trace_codec.write_file names trace output
-    else Velodrome_trace.Trace_io.write_file names trace output;
+    let binary = Option.value to_format ~default:(binary_path output) in
+    write_trace ~binary names trace output;
     Printf.printf "converted %s (%d events) to %s (%s)\n" input
       (Velodrome_trace.Trace.length trace)
       output
@@ -1122,14 +769,8 @@ let fuzz_cmd =
     let open Velodrome_trace in
     let cfg =
       if dense then
-        {
-          Gen.default with
-          threads = 4;
-          vars = 2;
-          locks = 1;
-          steps = 60;
-          max_depth = 3;
-        }
+        { Gen.default with threads = 4; vars = 2; locks = 1; steps = 60;
+          max_depth = 3 }
       else Gen.default
     in
     let rng = Velodrome_util.Rng.create seed in
@@ -1213,26 +854,28 @@ let study_cmd =
           ~doc:"coverage, injection, singlecore, agreement, or all.")
   in
   let run size seeds part =
-    if part = "coverage" || part = "all" then begin
-      Format.printf "Study S2: adversarial scheduling coverage@.";
-      Velodrome_harness.Study.print_coverage Format.std_formatter
-        (Velodrome_harness.Study.coverage ~size ~seeds ())
-    end;
-    if part = "injection" || part = "all" then begin
-      Format.printf "Study S3: injected synchronization defects@.";
-      Velodrome_harness.Study.print_injection Format.std_formatter
-        (Velodrome_harness.Study.injection ~size ~seeds ())
-    end;
-    if part = "singlecore" || part = "all" then begin
-      Format.printf "Study S4: single-core scheduling sensitivity@.";
-      Velodrome_harness.Study.print_single_core Format.std_formatter
-        (Velodrome_harness.Study.single_core ~size ~seeds ())
-    end;
-    if part = "agreement" || part = "all" then begin
-      Format.printf "Study A1: three-way engine agreement@.";
-      Velodrome_harness.Study.print_agreement Format.std_formatter
-        (Velodrome_harness.Study.agreement ~size ~seeds ())
-    end
+    let open Velodrome_harness.Study in
+    let ppf = Format.std_formatter in
+    List.iter
+      (fun (name, title, print) ->
+        if part = name || part = "all" then begin
+          Format.printf "Study %s@." title;
+          print ()
+        end)
+      [
+        ( "coverage",
+          "S2: adversarial scheduling coverage",
+          fun () -> print_coverage ppf (coverage ~size ~seeds ()) );
+        ( "injection",
+          "S3: injected synchronization defects",
+          fun () -> print_injection ppf (injection ~size ~seeds ()) );
+        ( "singlecore",
+          "S4: single-core scheduling sensitivity",
+          fun () -> print_single_core ppf (single_core ~size ~seeds ()) );
+        ( "agreement",
+          "A1: three-way engine agreement",
+          fun () -> print_agreement ppf (agreement ~size ~seeds ()) );
+      ]
   in
   Cmd.v
     (Cmd.info "study" ~doc:"Adversarial scheduling studies.")
@@ -1292,11 +935,9 @@ let serve_cmd =
     let print_result (r : Serve.result) =
       print_outcome r.Serve.path r.Serve.outcome;
       if stats then begin
-        let events, warnings =
-          match r.Serve.outcome with
-          | Driver.Checked { events; warnings }
-          | Driver.Failed { events; warnings; _ } ->
-            (events, warnings)
+        let (Driver.Checked { events; warnings }
+            | Driver.Failed { events; warnings; _ }) =
+          r.Serve.outcome
         in
         Printf.eprintf
           "[serve] %d/%d %s: %d events, %d warnings, wait %.2fms, check %.2fms\n%!"
@@ -1346,8 +987,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [
-           list_cmd; run_cmd; check_cmd; analyze_cmd; predict_cmd;
-           races_cmd; print_cmd;
+           list_cmd; run_cmd; analyze_cmd; print_cmd;
            record_cmd; check_trace_cmd; serve_cmd; convert_cmd; minimize_cmd;
            fuzz_cmd;
            table1_cmd; table2_cmd; study_cmd;

@@ -90,7 +90,10 @@ let certify names label trace =
     | None -> Some 0
   else None
 
-let replay_and_certify ?(max_steps = 200_000) program label plan =
+(* The step bound of every constrained replay. *)
+let max_steps = 200_000
+
+let replay_and_certify program label plan =
   match Constrain.replay ~max_steps program plan with
   | Constrain.Infeasible { at; reason } ->
     Error
@@ -125,7 +128,10 @@ let blamed_labels names trace =
 
 (* --- the pass ------------------------------------------------------------- *)
 
-let run ?only ?(max_witnesses = 8) ?(max_steps = 200_000) program st =
+(* Witness cycles tried per may-violate block. *)
+let max_witnesses = 8
+
+let run program st =
   let names = Statics.names st in
   let tx = Statics.txgraph st in
   let observed = Constrain.observe ~max_steps program in
@@ -145,8 +151,6 @@ let run ?only ?(max_witnesses = 8) ?(max_steps = 200_000) program st =
   in
   let attempt_block (block : Statics.block) =
     match block.Statics.verdict with
-    | _ when only <> None && only <> Some block.Statics.name ->
-      { block; outcome = Not_attempted }
     | Statics.May_violate _ ->
       let wits =
         List.concat_map (Txgraph.witnesses_for tx) block.Statics.sites
@@ -251,9 +255,9 @@ let attempt_string (a : attempt) =
     | Uncertified -> "uncertified")
 
 (* The one-command reproduction for a prediction; [spec] is how the CLI
-   names the program (target, or "--gen-seed N"). *)
+   names the program (a target, or "--generated 1 --gen-seed N"). *)
 let replay_line spec (p : prediction) =
-  Printf.sprintf "velodrome predict %s --block %s --schedule \"%s\"" spec
+  Printf.sprintf "velodrome analyze %s --block %s --schedule \"%s\"" spec
     p.name
     (Plan.to_string p.plan)
 

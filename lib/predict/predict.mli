@@ -53,18 +53,10 @@ type block_report = { block : Statics.block; outcome : block_outcome }
 
 type t
 
-val run :
-  ?only:string ->
-  ?max_witnesses:int ->
-  ?max_steps:int ->
-  Velodrome_sim.Ast.program ->
-  Statics.t ->
-  t
+val run : Velodrome_sim.Ast.program -> Statics.t -> t
 (** Run the full pass: observe, plan, replay, certify. Deterministic.
-    [only] restricts planning and replay to the block of that name
-    (every other block reports [Not_attempted]); [max_witnesses]
-    (default 8) caps the witnesses tried per block; [max_steps]
-    (default 200_000) bounds each constrained replay. *)
+    At most 8 witnesses are tried per block, and each constrained replay
+    is bounded at 200,000 steps. *)
 
 val statics : t -> Statics.t
 val reports : t -> block_report list
@@ -83,7 +75,6 @@ val certify : Names.t -> Label.t -> Trace.t -> int option
     a warning naming the label. *)
 
 val replay_and_certify :
-  ?max_steps:int ->
   Velodrome_sim.Ast.program ->
   Label.t ->
   Velodrome_sim.Constrain.plan ->
@@ -111,5 +102,6 @@ val verdict_string : verdict -> string
 val to_json : ?file:string -> ?replay_with:string -> t -> Velodrome_util.Json.t
 val pp_human : ?replay_with:string -> Format.formatter -> t -> unit
 (** [replay_with] is the CLI spec naming the program (a target, or
-    ["--gen-seed N"]); when given, every prediction carries a one-command
-    replay line [velodrome predict SPEC --block B --schedule "..."]. *)
+    ["--generated 1 --gen-seed N"]); when given, every prediction carries
+    a one-command replay line
+    [velodrome analyze SPEC --block B --schedule "..."]. *)

@@ -280,6 +280,109 @@ let test_gate_run () =
          | _ -> false)
        g.Gate.failures)
 
+
+(* --- analyze's report ---------------------------------------------------------- *)
+
+module Report = Velodrome_harness.Report
+
+let scan_target () =
+  {
+    Report.name = "scan";
+    program = scan_program ();
+    pos = (fun _ -> None);
+    generated = None;
+  }
+
+let report_options =
+  {
+    Report.values = true;
+    show_values = false;
+    races = true;
+    graph = false;
+    gate = None;
+    predict = false;
+  }
+
+(* The human report is the statics renderers' output in a fixed order,
+   with a header per target unless the report is about one named
+   program. *)
+let test_report_human () =
+  let module Statics = Velodrome_statics.Statics in
+  let t = scan_target () in
+  let r = Report.run report_options [ t ] in
+  let st = Statics.analyze t.Report.program in
+  let expected =
+    Format.asprintf "%a%a" (Statics.pp_human ~pos:t.Report.pos) st
+      (Statics.pp_races_human ~pos:t.Report.pos) st
+  in
+  check Alcotest.string "single" expected
+    (Format.asprintf "%a" (Report.pp_human ~single:true) r);
+  check Alcotest.string "with header" ("== scan ==\n" ^ expected)
+    (Format.asprintf "%a" (Report.pp_human ~single:false) r);
+  check int "unproved block exits 1" 1 (Report.exit_code r);
+  check Alcotest.(list string) "no replay lines" [] (Report.replay_lines r)
+
+let test_report_json () =
+  let open Velodrome_util.Json in
+  let keys = function
+    | Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "not an object"
+  in
+  let t = scan_target () in
+  let r = Report.run report_options [ t ] in
+  check
+    Alcotest.(list string)
+    "statics document, then races"
+    [ "file"; "blocks"; "summary"; "races" ]
+    (keys (Report.to_json ~single:true r));
+  (match Report.to_json ~single:false r with
+  | List [ d ] -> check bool "array of one" true (d = Report.to_json ~single:true r)
+  | _ -> Alcotest.fail "expected an array of one document");
+  let r =
+    Report.run
+      { report_options with races = false; gate = Some [ 7 ]; predict = true }
+      [ t ]
+  in
+  check
+    Alcotest.(list string)
+    "gate and predict fields"
+    [ "file"; "blocks"; "summary"; "gate"; "predict" ]
+    (keys (Report.to_json ~single:true r));
+  check int "gate and prediction gate pass" 0 (Report.exit_code r);
+  match Report.to_json ~single:true r with
+  | Obj fields -> (
+    match List.assoc "predict" fields with
+    | Obj pf -> (
+      match List.assoc "predictions" pf with
+      | List [ Obj p ] ->
+        check bool "replay line names analyze" true
+          (List.assoc "replay" p
+          = String
+              "velodrome analyze scan --block scan --schedule \"t1@0.0 -> \
+               t0@0 -> t0@1 -> t1@0.1\"")
+      | _ -> Alcotest.fail "expected one prediction")
+    | _ -> Alcotest.fail "predict is not an object")
+  | _ -> Alcotest.fail "not an object"
+
+let test_report_replay () =
+  let t = scan_target () in
+  let replay schedule =
+    match Report.replay t ~block:"scan" ~schedule with
+    | Ok r -> Format.asprintf "%a" (Report.pp_replay ~block:"scan") r
+    | Error msg -> "error: " ^ msg
+  in
+  check Alcotest.string "certified"
+    "scan: certified violation at event 4 under the forced schedule\n"
+    (replay "t1@0.0 -> t0@0 -> t0@1 -> t1@0.1");
+  check Alcotest.string "serial schedule"
+    "scan: not certified: replayed but the engine trio did not flame the \
+     block\n"
+    (replay "t1@0.0 -> t1@0.1 -> t0@0");
+  check bool "unknown block" true
+    (Result.is_error (Report.replay t ~block:"nope" ~schedule:"t0@0"));
+  check bool "bad schedule" true
+    (Result.is_error (Report.replay t ~block:"scan" ~schedule:"t0@@"))
+
 let suite =
   ( "harness",
     [
@@ -304,4 +407,7 @@ let suite =
         test_gate_render_failures;
       Alcotest.test_case "gate schedules" `Quick test_gate_schedules;
       Alcotest.test_case "gate run" `Quick test_gate_run;
+      Alcotest.test_case "report human" `Quick test_report_human;
+      Alcotest.test_case "report json" `Quick test_report_json;
+      Alcotest.test_case "report schedule replay" `Quick test_report_replay;
     ] )

@@ -14,7 +14,12 @@ type kind =
   | Value_unsound of string
 
 type failure = { schedule : string; kind : kind }
-type t = { schedules : int; dynamic_warnings : int; failures : failure list }
+type t = {
+  schedules : int;
+  dynamic_warnings : int;
+  pauses : int;
+  failures : failure list;
+}
 
 let ok g = g.failures = []
 
@@ -76,13 +81,18 @@ let run program st ~seeds =
   let races = Statics.races st in
   let vals = Statics.values st in
   let warnings = ref 0 in
+  let pauses = ref 0 in
   let found = ref [] in
   let fail schedule kind = found := { schedule; kind } :: !found in
   let schedules = schedules seeds in
   List.iter
     (fun (schedule, config) ->
+      (* The Atomizer is attached only as the adversarial scheduler's pause
+         oracle (none of the others ever asks for a pause); its warnings
+         carry no obligation. *)
       let backends =
         [
+          Backend.make (Velodrome_atomizer.Atomizer.backend ()) names;
           Backend.make (Velodrome_core.Engine.backend ()) names;
           Backend.make (Velodrome_eraser.Eraser.backend ()) names;
           Backend.make (Velodrome_hbrace.Hbrace.backend ()) names;
@@ -101,7 +111,14 @@ let run program st ~seeds =
       (match Trio.check names (Option.get res.Run.trace) with
       | Error msg -> fail schedule (Engines_disagree msg)
       | Ok _ -> ());
-      warnings := !warnings + List.length res.Run.warnings;
+      let checked =
+        List.filter
+          (fun (w : Warning.t) ->
+            w.Warning.analysis <> Velodrome_atomizer.Atomizer.name)
+          res.Run.warnings
+      in
+      warnings := !warnings + List.length checked;
+      pauses := !pauses + res.Run.pauses;
       List.iter
         (fun (w : Warning.t) ->
           List.iter
@@ -118,13 +135,14 @@ let run program st ~seeds =
               (Uncovered_race
                  { analysis = w.Warning.analysis; var = Names.var_name names x })
           | _ -> ())
-        res.Run.warnings)
+        checked)
     schedules;
   let found = List.rev !found in
   let of_rank r = List.filter (fun f -> rank f.kind = r) found in
   {
     schedules = List.length schedules;
     dynamic_warnings = !warnings;
+    pauses = !pauses;
     failures =
       of_rank 0
       @ List.sort_uniq compare (of_rank 1)

@@ -3,7 +3,9 @@
 
     Each program is replayed under round-robin, seeded-random and
     adversarial schedules with the graph engine, Eraser and the
-    happens-before race detector attached, and both directions of the
+    happens-before race detector attached (plus the Atomizer, whose
+    pause hints drive the adversarial scheduler and whose warnings carry
+    no obligation), and both directions of the
     static story are checked. The engine must never refute a
     statically-proved block: Theorem 1 makes blame a completeness claim
     (the transaction really is non-serializable), so one mismatch is a
@@ -37,6 +39,8 @@ type failure = { schedule : string; kind : kind }
 type t = {
   schedules : int;
   dynamic_warnings : int;  (** across all schedules *)
+  pauses : int;
+      (** the adversarial scheduler's pauses across all schedules *)
   failures : failure list;
       (** grouped by kind in declaration order; within a kind,
           [Not_may_violate] and [Uncovered_race] are sorted and

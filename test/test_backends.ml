@@ -1,8 +1,9 @@
 (* Tests for the baseline analyses: Eraser, the happens-before detector
    (with its vector clocks), the Atomizer and the two-phase-locking
-   checker — plus the AeroDrome vector-clock engine and the three-way
-   differential harness holding it to Engine and Basic on every
-   workload and on generated programs under every schedule family. *)
+   checker — plus the AeroDrome vector-clock engine. The three-way
+   differential holding it to Engine and Basic on recorded traces is an
+   obligation of the soundness gate (Velodrome_harness.Gate), checked on
+   every workload and on generated programs by the statics gate tests. *)
 
 open Velodrome_trace
 open Velodrome_analysis
@@ -452,68 +453,6 @@ let test_aero_matches_basic_counts () =
     (Velodrome_core.Basic.first_error_index b)
     (Aero.first_error_index a)
 
-(* --- the three-way differential harness ---------------------------------------
-
-   Two independent sound-and-complete algorithms (vector clocks vs an
-   explicit happens-before graph) must agree on every trace: same
-   verdict, same first violating event, and warning-for-warning
-   agreement between Aero and Basic. Replayed over every workload and
-   over generated programs under the soundness gate's schedules, with a
-   one-command replay printed on mismatch. *)
-
-open Velodrome_sim
-
-let gate_seed = 7
-
-let recorded_trace ~config program =
-  let config = { config with Run.record_trace = true } in
-  let res = Run.run ~config program [] in
-  Option.get res.Run.trace
-
-let assert_trio what program =
-  List.iter
-    (fun (sched, config) ->
-      let tr = recorded_trace ~config program in
-      match Velodrome_harness.Trio.check (Names.create ()) tr with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "%s (schedule %s): %s" what sched msg)
-    (Velodrome_harness.Gate.schedules [ gate_seed ])
-
-let test_trio_workloads () =
-  List.iter
-    (fun w ->
-      assert_trio
-        (Printf.sprintf "three-way: workload %s" w.Velodrome_workloads.Workload.name)
-        (w.Velodrome_workloads.Workload.build Velodrome_workloads.Workload.Small))
-    Velodrome_workloads.Workload.all
-
-(* On a generated-program mismatch, identify the program exactly and
-   print the single command that replays it, as the gate does
-   (`analyze --gate` runs this same trio on its recorded traces). *)
-let prop_trio_generated =
-  QCheck.Test.make ~count:300
-    ~name:"three-way: aero = engine = basic on generated programs"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let program, info =
-        Progen.generate_info (Velodrome_util.Rng.create seed)
-      in
-      List.iter
-        (fun (sched, config) ->
-          let tr = recorded_trace ~config program in
-          match Velodrome_harness.Trio.check (Names.create ()) tr with
-          | Ok _ -> ()
-          | Error msg ->
-            Alcotest.failf
-              "three-way: generated program FAILED: progen seed %d, family \
-               %s, schedule %s: %s@.replay: velodrome analyze --generated 1 \
-               --gen-seed %d --seeds %d --gate"
-              seed
-              (String.concat "+" info.Progen.families)
-              sched msg seed gate_seed)
-        (Velodrome_harness.Gate.schedules [ gate_seed ]);
-      true)
-
 let suite =
   ( "backends",
     [
@@ -576,6 +515,4 @@ let suite =
       Alcotest.test_case "aero unary" `Quick test_aero_unary_transactions;
       Alcotest.test_case "aero = basic counts" `Quick
         test_aero_matches_basic_counts;
-      Alcotest.test_case "three-way workloads" `Quick test_trio_workloads;
-      QCheck_alcotest.to_alcotest ~long:false prop_trio_generated;
     ] )

@@ -173,7 +173,8 @@ let test_table2_multiset_row () =
 
 module Gate = Velodrome_harness.Gate
 
-let gate failures = { Gate.schedules = 7; dynamic_warnings = 3; failures }
+let gate failures =
+  { Gate.schedules = 7; dynamic_warnings = 3; pauses = 0; failures }
 
 (* The replay report of a failed gate over a generated program names the
    first failure's schedule, whatever its kind. *)
@@ -383,6 +384,17 @@ let test_report_replay () =
   check bool "bad schedule" true
     (Result.is_error (Report.replay t ~block:"scan" ~schedule:"t0@@"))
 
+(* The adversarial schedules must really be adversarial: the Atomizer's
+   pause hints make them pause, so they differ from the random schedules
+   of the same seeds. *)
+let test_gate_adversarial_pauses () =
+  let module Workload = Velodrome_workloads.Workload in
+  let program = (Option.get (Workload.find "multiset")).Workload.build Workload.Small in
+  let g =
+    Gate.run program (Velodrome_statics.Statics.analyze program) ~seeds:[ 7 ]
+  in
+  check bool "adversarial(seed 7) pauses" true (g.Gate.pauses > 0)
+
 let suite =
   ( "harness",
     [
@@ -407,6 +419,8 @@ let suite =
         test_gate_render_failures;
       Alcotest.test_case "gate schedules" `Quick test_gate_schedules;
       Alcotest.test_case "gate run" `Quick test_gate_run;
+      Alcotest.test_case "gate adversarial pauses" `Quick
+        test_gate_adversarial_pauses;
       Alcotest.test_case "report human" `Quick test_report_human;
       Alcotest.test_case "report json" `Quick test_report_json;
       Alcotest.test_case "report schedule replay" `Quick test_report_replay;

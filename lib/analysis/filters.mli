@@ -25,17 +25,25 @@ val static_atomic :
 
     While a thread is inside an {e outermost} proved block, its reads and
     writes of suppressible variables are dropped; lock operations and
-    begin/end markers are always forwarded, so every cross-thread ordering
-    a dropped access could induce is still visible to the back-end through
-    the guard's acquire/release edges. That argument needs the back-end to
-    keep every such edge, which the atomicity engines stop doing at their
-    first violation: they drop an edge that would close a cycle, and a
-    later warning can then hinge on a suppressed access (program seed
-    890525 of the generated-program differential, scheduler [Random 11],
-    loses [gen.b1] at event 76). Suppression deliberately does not
-    start at proved blocks nested inside unproved ones: warnings there are
-    attributed to the unproved outermost label, which the soundness
-    differential compares exactly. *)
+    begin/end markers are always forwarded. Suppression deliberately does
+    not start at proved blocks nested inside unproved ones: warnings
+    there are attributed to the unproved outermost label, which the
+    soundness differential compares exactly.
+
+    Contract: every back-end reports the same warnings outside proved
+    blocks with and without the filter, provided [suppress_var] answers
+    only variables that are race-free (thread-local, consistently
+    guarded, or in no static race pair) {e and} whose every access, in
+    every thread, lies inside an outermost proved block — the predicates
+    {!Velodrome_statics.Statics.filter_predicates} returns. A dropped
+    access can then only end an ordering between two proved
+    transactions, never one to an unproved transaction, so no warning
+    outside proved blocks can hinge on it, even after an atomicity engine
+    has dropped a cycle-closing edge at its first violation. Race-freedom
+    alone is not enough: program seeds 890525 (scheduler [Random 11]) and
+    316 of the generated-program differential lose a warning when a
+    suppressed access in a proved block carried the only remaining
+    ordering to an unproved one. *)
 
 val reentrant_locks : Backend.packed -> Backend.packed
 (** Forward only outermost acquires/releases; nested pairs are dropped.

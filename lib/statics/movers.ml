@@ -128,8 +128,9 @@ let analyze ?(dead = fun (_ : Cfg.site) -> false) names cfg locksets races =
 let at_site t (site : Cfg.site) =
   Hashtbl.find_opt t.by_site (site.Cfg.thread, site.Cfg.path)
 
-(* A variable whose accesses can be elided inside statically proved
-   blocks without changing any back-end's verdict elsewhere: every access
+(* The per-variable half of the static filter's condition
+   (Statics.filter_predicates adds that every access lies inside a
+   proved block): every access
    is either confined to one thread (no cross-thread conflict edges at
    all), performed under a program-wide common guard, or free of race
    pairs altogether, in which case every conflicting access pair shares

@@ -127,12 +127,56 @@ let unknown_count t =
   count_verdict t (function Unknown _ -> true | _ -> false)
 
 let block_count t = List.length t.blocks
-let suppressible_var t x = Movers.suppressible t.movers x
+(* The label of the outermost atomic occurrence enclosing [site], if
+   any: an occurrence encloses the sites its path prefixes. *)
+let outermost_label t (site : Cfg.site) =
+  let rec prefix p q =
+    match (p, q) with
+    | [], _ -> true
+    | x :: p, y :: q -> x = y && prefix p q
+    | _ :: _, [] -> false
+  in
+  List.fold_left
+    (fun best b ->
+      List.fold_left
+        (fun best (o : Cfg.site) ->
+          if o.Cfg.thread = site.Cfg.thread && prefix o.Cfg.path site.Cfg.path
+          then
+            match best with
+            | Some (_, (p : Cfg.site))
+              when List.length p.Cfg.path <= List.length o.Cfg.path ->
+              best
+            | _ -> Some (b.label, o)
+          else best)
+        best b.sites)
+    None t.blocks
+  |> Option.map fst
 
+(* A variable is suppressed only when [Movers.suppressible] and every live
+   access to it, in every thread, lies inside an outermost proved block.
+   A suppressed access then never ends a data edge to an unproved
+   transaction, so the edges the filter hides run between proved
+   transactions only; the engines' post-violation edge dropping cannot
+   make a later warning hinge on one of them. *)
 let filter_predicates ?(lipton_only = false) t =
   let ids = if lipton_only then t.lipton_ids else t.proved_ids in
   let proved_id l = IntSet.mem l ids in
-  let suppress_var x = Movers.suppressible t.movers (Var.of_int x) in
+  let dead =
+    match t.vals with Some v -> Values.dead_site v | None -> fun _ -> false
+  in
+  let exposed = Hashtbl.create 16 in
+  Cfg.iter_nodes
+    (fun n ->
+      match n.Cfg.eff with
+      | (Cfg.Read x | Cfg.Write x) when not (dead n.Cfg.site) -> (
+        match outermost_label t n.Cfg.site with
+        | Some l when proved_id (Label.to_int l) -> ()
+        | _ -> Hashtbl.replace exposed (Var.to_int x) ())
+      | _ -> ())
+    t.cfg;
+  let suppress_var x =
+    (not (Hashtbl.mem exposed x)) && Movers.suppressible t.movers (Var.of_int x)
+  in
   (proved_id, suppress_var)
 
 (* --- rendering ----------------------------------------------------------- *)

@@ -22,8 +22,9 @@
     {!Velodrome_analysis.Filters.static_atomic} uses the proved-label and
     suppressible-variable predicates to elide instrumentation inside
     proved blocks — cycle-free blocks suppress exactly like Lipton ones,
-    since the argument only needs the block serializable and the elided
-    accesses race-free. *)
+    since the argument only needs the block serializable, the elided
+    accesses race-free and every access to the variable inside a proved
+    block. *)
 
 open Velodrome_trace.Ids
 
@@ -85,13 +86,15 @@ val proved_cycle_free_count : t -> int
 val may_violate_count : t -> int
 val unknown_count : t -> int
 val block_count : t -> int
-val suppressible_var : t -> Var.t -> bool
 
 val filter_predicates : ?lipton_only:bool -> t -> (int -> bool) * (int -> bool)
 (** [(proved_label_id, suppressible_var_id)] predicates over raw ids, in
-    the form {!Velodrome_analysis.Filters.static_atomic} consumes.
-    [lipton_only] restricts the proved set to Lipton-proved blocks, for
-    measuring what the cycle-freedom rule adds. *)
+    the form {!Velodrome_analysis.Filters.static_atomic} consumes. A
+    variable is suppressible when {!Movers.suppressible} and every live
+    access to it lies inside an outermost proved block, which is the
+    filter's contract. [lipton_only] restricts the proved set to
+    Lipton-proved blocks, for measuring what the cycle-freedom rule
+    adds. *)
 
 val verdict_string : verdict -> string
 (** ["proved-atomic"], ["may-violate"] or ["unknown"]. *)

@@ -710,7 +710,8 @@ let minimize_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "o" ] ~docv:"FILE" ~doc:"Write the minimized trace here.")
+      & info [ "o" ] ~docv:"FILE"
+          ~doc:"Write the minimized trace here (binary when named *.velb).")
   in
   let run file out =
     let names, trace = load_trace file in
@@ -723,9 +724,7 @@ let minimize_cmd =
       (Velodrome_trace.Trace.length trace)
       (Velodrome_trace.Trace.length small);
     print_string (Velodrome_trace.Trace_io.to_string names small);
-    Option.iter
-      (fun path -> Velodrome_trace.Trace_io.write_file names small path)
-      out
+    Option.iter (write_trace names small) out
   in
   Cmd.v
     (Cmd.info "minimize"

@@ -284,7 +284,7 @@ type statics_row = {
   unfiltered_sec : float;
   filtered_sec : float;
   events_per_sec : float;
-      (** filtered-engine throughput — the baseline diff's second gate *)
+      (** filtered-engine throughput *)
   speedup : float;
   warnings_identical : bool;
 }

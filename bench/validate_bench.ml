@@ -1,13 +1,15 @@
 (* Schema check for the benchmark and report artifacts (BENCH_*.json,
-   plus the race and analyze reports the CLI emits). CI runs the bench
-   smoke pass and the analyze/races commands and then this validator, so
-   a refactor that breaks an emitter — wrong field name, NaN printed as
-   "nan", truncated file — fails the build instead of silently uploading
-   a malformed artifact.
+   plus the analyze reports the CLI emits). CI runs the bench smoke pass
+   and the analyze command and then this validator, so a refactor that
+   breaks an emitter — wrong field name, NaN printed as "nan", truncated
+   file — fails the build instead of silently uploading a malformed
+   artifact.
 
    Usage: validate_bench.exe FILE KIND [FILE KIND ...]
+          validate_bench.exe --same-counts OLD NEW KIND
    where KIND is one of engine | statics | serve (flat row tables) or
-   races | analyze | predict (nested report documents). *)
+   analyze | predict (nested report documents). --same-counts checks NEW
+   and fails when any of its count fields differs from OLD's. *)
 
 open Velodrome_util
 
@@ -107,7 +109,7 @@ let check_row ~file ~kind i row =
             (Printf.sprintf "%s: row %d field %S is not finite" file i name))
     (schema kind)
 
-(* --- nested report documents (races, analyze) ----------------------------- *)
+(* --- nested report documents (analyze, predict) --------------------------- *)
 
 let fail ctx msg = failwith (Printf.sprintf "%s: %s" ctx msg)
 
@@ -421,7 +423,6 @@ let check_predict_doc ctx v =
 let check_report ~file kind doc =
   let check_doc =
     match kind with
-    | "races" -> check_races_doc
     | "analyze" -> check_analyze_doc
     | "predict" -> check_predict_doc
     | _ -> assert false
@@ -437,102 +438,6 @@ let check_report ~file kind doc =
     check_doc file doc;
     Printf.printf "%s: 1 %s document ok\n" file kind
 
-(* --- baseline diff (--baseline) -------------------------------------------- *)
-
-(* The first slice of the continuous-bench item: diff a freshly
-   regenerated BENCH_statics.json against the committed baseline and
-   fail when the static pre-pass got markedly slower — more than 15%
-   on the analysis wall time or on the filtered-engine throughput.
-   Rows are matched on (fixture, size); fixtures present only on one
-   side (a new workload, a retired one) are reported and skipped, so
-   adding a fixture never requires a flag day. *)
-let regression_threshold = 0.15
-
-let load_rows file =
-  let contents =
-    try In_channel.with_open_bin file In_channel.input_all
-    with Sys_error msg -> failwith msg
-  in
-  match Json.of_string contents with
-  | Error msg -> failwith (Printf.sprintf "%s: parse error: %s" file msg)
-  | Ok (Json.List rows) -> rows
-  | Ok _ -> failwith (Printf.sprintf "%s: top level is not an array" file)
-
-let check_baseline ~baseline ~fresh =
-  let str_of ctx r name =
-    match r with
-    | Json.Obj f -> (
-      match List.assoc_opt name f with
-      | Some (Json.String s) -> s
-      | _ -> fail ctx (Printf.sprintf "field %S is not a string" name))
-    | _ -> fail ctx "row is not an object"
-  in
-  let num_of ctx r name =
-    match r with
-    | Json.Obj f -> (
-      match List.assoc_opt name f with
-      | Some (Json.Int n) -> float_of_int n
-      | Some (Json.Float x) -> x
-      | _ -> fail ctx (Printf.sprintf "field %S is not numeric" name))
-    | _ -> fail ctx "row is not an object"
-  in
-  let key ctx r = (str_of ctx r "fixture", str_of ctx r "size") in
-  let base_rows = load_rows baseline in
-  let fresh_rows = load_rows fresh in
-  List.iteri (check_row ~file:fresh ~kind:"statics") fresh_rows;
-  let regressions = ref [] in
-  let compared = ref 0 in
-  List.iter
-    (fun fr ->
-      let k = key fresh fr in
-      match
-        List.find_opt (fun br -> key baseline br = k) base_rows
-      with
-      | None ->
-        Printf.printf "%s: %s/%s has no baseline row, skipped\n" fresh
-          (fst k) (snd k)
-      | Some br ->
-        incr compared;
-        let slower name =
-          (* regression = fresh is worse; for times worse means larger,
-             for throughput worse means smaller *)
-          let b = num_of baseline br name and f = num_of fresh fr name in
-          match name with
-          | "events_per_sec" ->
-            if b > 0. && f < b *. (1. -. regression_threshold) then
-              Some (Printf.sprintf "%s %.3g -> %.3g (-%.0f%%)" name b f
-                      (100. *. (b -. f) /. b))
-            else None
-          | _ ->
-            if b > 0. && f > b *. (1. +. regression_threshold) then
-              Some (Printf.sprintf "%s %.3g -> %.3g (+%.0f%%)" name b f
-                      (100. *. (f -. b) /. b))
-            else None
-        in
-        List.iter
-          (fun name ->
-            match slower name with
-            | Some msg ->
-              regressions :=
-                Printf.sprintf "%s/%s: %s" (fst k) (snd k) msg
-                :: !regressions
-            | None -> ())
-          [ "analysis_ms"; "events_per_sec" ])
-    fresh_rows;
-  if !compared = 0 then
-    failwith
-      (Printf.sprintf "%s vs %s: no comparable rows (size mismatch?)" fresh
-         baseline);
-  match List.rev !regressions with
-  | [] ->
-    Printf.printf "%s: no >%.0f%% regression vs %s (%d rows compared)\n"
-      fresh (100. *. regression_threshold) baseline !compared
-  | rs ->
-    List.iter (fun r -> Printf.eprintf "validate_bench: regression: %s\n" r) rs;
-    failwith
-      (Printf.sprintf "%d bench regression(s) vs baseline %s"
-         (List.length rs) baseline)
-
 let check_file file kind =
   let contents =
     try In_channel.with_open_bin file In_channel.input_all
@@ -540,7 +445,7 @@ let check_file file kind =
   in
   match Json.of_string contents with
   | Error msg -> failwith (Printf.sprintf "%s: parse error: %s" file msg)
-  | Ok doc when kind = "races" || kind = "analyze" || kind = "predict" ->
+  | Ok doc when kind = "analyze" || kind = "predict" ->
     check_report ~file kind doc
   | Ok (Json.List []) -> failwith (Printf.sprintf "%s: no rows" file)
   | Ok (Json.List rows) ->
@@ -549,21 +454,84 @@ let check_file file kind =
     Printf.printf "%s: %d %s rows ok\n" file (List.length rows) kind
   | Ok _ -> failwith (Printf.sprintf "%s: top level is not an array" file)
 
+(* --- reproducible counts (--same-counts) ----------------------------------- *)
+
+(* The timing fields of a kind: its numeric columns, which differ from run
+   to run. Every other field (string, int, bool) is a count that a rerun
+   of the same code must reproduce exactly. Integral floats print as JSON
+   integers, so timing fields are known by name, not by JSON type. *)
+let timing_fields = function
+  | "predict" -> [ "predict_ms"; "predict_ms_total" ]
+  | kind ->
+    List.filter_map (fun (name, ty) -> if ty = N then Some name else None)
+      (schema kind)
+
+let rec count_diffs timing path a b acc =
+  let field k = if path = "" then k else path ^ "." ^ k in
+  match (a, b) with
+  | Json.Obj fa, Json.Obj fb when List.map fst fa = List.map fst fb ->
+    List.fold_left2
+      (fun acc (k, va) (_, vb) ->
+        if List.mem k timing then acc
+        else count_diffs timing (field k) va vb acc)
+      acc fa fb
+  | Json.List la, Json.List lb when List.length la = List.length lb ->
+    fst
+      (List.fold_left2
+         (fun (acc, i) va vb ->
+           (count_diffs timing (Printf.sprintf "%s[%d]" path i) va vb acc, i + 1))
+         (acc, 0) la lb)
+  | Json.List la, Json.List lb ->
+    ( path,
+      Printf.sprintf "%d entries" (List.length la),
+      Printf.sprintf "%d" (List.length lb) )
+    :: acc
+  | Json.Obj _, Json.Obj _ -> (path, "other fields", "these") :: acc
+  | a, b when a = b -> acc
+  | a, b -> (path, Json.to_string a, Json.to_string b) :: acc
+
+let check_same_counts ~old_file ~new_file kind =
+  check_file new_file kind;
+  let load file =
+    match
+      Json.of_string
+        (try In_channel.with_open_bin file In_channel.input_all
+         with Sys_error msg -> failwith msg)
+    with
+    | Ok doc -> doc
+    | Error msg -> failwith (Printf.sprintf "%s: parse error: %s" file msg)
+  in
+  match
+    List.rev
+      (count_diffs (timing_fields kind) "" (load old_file) (load new_file) [])
+  with
+  | [] -> Printf.printf "%s: same counts as %s\n" new_file old_file
+  | diffs ->
+    List.iter
+      (fun (path, o, n) ->
+        Printf.eprintf "validate_bench: %s: %s: %s in %s, %s here\n" new_file
+          (if path = "" then "top level" else path)
+          o old_file n)
+      diffs;
+    failwith
+      (Printf.sprintf "%s: %d count(s) differ from %s" new_file
+         (List.length diffs) old_file)
+
 let usage () =
   prerr_endline
     "usage: validate_bench.exe FILE KIND [FILE KIND ...]\n\
-    \       validate_bench.exe --baseline BASELINE FRESH";
+    \       validate_bench.exe --same-counts OLD NEW KIND";
   exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
-  | [ "--baseline"; baseline; fresh ] -> (
-    try check_baseline ~baseline ~fresh
+  | [ "--same-counts"; old_file; new_file; kind ] -> (
+    try check_same_counts ~old_file ~new_file kind
     with Failure msg ->
       Printf.eprintf "validate_bench: %s\n" msg;
       exit 1)
-  | "--baseline" :: _ -> usage ()
+  | "--same-counts" :: _ -> usage ()
   | _ -> (
     let rec pairs = function
       | [] -> []

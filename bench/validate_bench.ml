@@ -238,9 +238,6 @@ let check_race_access ctx v =
 
 let check_races_doc ctx v =
   let f = obj_fields ctx v in
-  (match List.assoc_opt "file" f with
-  | None -> ()
-  | Some v -> expect (ctx ^ ".file") S v);
   let pairs =
     match get ctx f "pairs" with
     | Json.List ps -> ps
@@ -454,7 +451,7 @@ let check_file file kind =
     Printf.printf "%s: %d %s rows ok\n" file (List.length rows) kind
   | Ok _ -> failwith (Printf.sprintf "%s: top level is not an array" file)
 
-(* --- reproducible counts (--same-counts) ----------------------------------- *)
+(* --- reproducible counts (--same-counts) --------------------------------- *)
 
 (* The timing fields of a kind: its numeric columns, which differ from run
    to run. Every other field (string, int, bool) is a count that a rerun
@@ -479,7 +476,8 @@ let rec count_diffs timing path a b acc =
     fst
       (List.fold_left2
          (fun (acc, i) va vb ->
-           (count_diffs timing (Printf.sprintf "%s[%d]" path i) va vb acc, i + 1))
+           let path = Printf.sprintf "%s[%d]" path i in
+           (count_diffs timing path va vb acc, i + 1))
          (acc, 0) la lb)
   | Json.List la, Json.List lb ->
     ( path,

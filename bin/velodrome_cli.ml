@@ -418,7 +418,9 @@ let analyze_cmd =
       | Error msg -> usage msg
       | Ok r ->
         Format.printf "%a" (Report.pp_replay ~block) r;
-        match r with Report.Certified _ -> exit 1 | Report.Not_certified _ -> ())
+        match r with
+        | Report.Certified _ -> exit 1
+        | Report.Not_certified _ -> ())
     | Some _, Some _, _ ->
       usage "--schedule replays one program: a TARGET or --generated 1"
     | Some _, None, _ -> usage "--block requires --schedule"
@@ -850,7 +852,7 @@ let study_cmd =
       value
       & opt string "all"
       & info [ "part" ] ~docv:"PART"
-          ~doc:"coverage, injection, singlecore, agreement, or all.")
+          ~doc:"coverage, injection, singlecore, or all.")
   in
   let run size seeds part =
     let open Velodrome_harness.Study in
@@ -871,9 +873,6 @@ let study_cmd =
         ( "singlecore",
           "S4: single-core scheduling sensitivity",
           fun () -> print_single_core ppf (single_core ~size ~seeds ()) );
-        ( "agreement",
-          "A1: three-way engine agreement",
-          fun () -> print_agreement ppf (agreement ~size ~seeds ()) );
       ]
   in
   Cmd.v

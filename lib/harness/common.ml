@@ -14,10 +14,6 @@ let time f =
   let r = f () in
   (now () -. t0, r)
 
-let time_median n f =
-  let samples = Array.init (max 1 n) (fun _ -> fst (time f)) in
-  Velodrome_util.Stats.median samples
-
 let time_stable ?(min_total = 0.05) n f =
   let t0 = now () in
   let count = ref 0 in
@@ -32,16 +28,6 @@ let ground_truth (w : Workload.t) =
   List.iter (fun g -> Hashtbl.replace tbl g.Workload.label g) w.Workload.methods;
   tbl
 
-let non_atomic_label_ids (w : Workload.t) names =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun g ->
-      if not g.Workload.atomic then
-        match Velodrome_util.Symtab.find names.Names.labels g.Workload.label with
-        | Some id -> Hashtbl.replace tbl id ()
-        | None -> ())
-    w.Workload.methods;
-  tbl
 
 let label_of_warning names (w : Warning.t) =
   Option.map (Names.label_name names) w.Warning.label

@@ -7,9 +7,6 @@ open Velodrome_workloads
 val time : (unit -> 'a) -> float * 'a
 (** CPU seconds consumed by the call, and its result. *)
 
-val time_median : int -> (unit -> unit) -> float
-(** Median CPU time over [n] repetitions. *)
-
 val time_stable : ?min_total:float -> int -> (unit -> unit) -> float
 (** Mean CPU time per call, repeating at least [n] times and until
     [min_total] seconds (default 0.05) have accumulated, so that timer
@@ -17,9 +14,6 @@ val time_stable : ?min_total:float -> int -> (unit -> unit) -> float
 
 val ground_truth : Workload.t -> (string, Workload.ground_truth) Hashtbl.t
 (** Ground truth indexed by method label. *)
-
-val non_atomic_label_ids : Workload.t -> Names.t -> (int, unit) Hashtbl.t
-(** Ids (in this program's name table) of methods with real violations. *)
 
 val label_of_warning : Names.t -> Warning.t -> string option
 

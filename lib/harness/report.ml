@@ -20,6 +20,8 @@ let progen s =
     generated = Some (s, info.Velodrome_sim.Progen.families);
   }
 
+(* The analyze arguments that rebuild a target's program; replay lines
+   start with them. *)
 let spec t =
   match t.generated with
   | Some (s, _) -> Printf.sprintf "--generated 1 --gen-seed %d" s
@@ -51,13 +53,13 @@ let run options targets =
       Option.map (fun seeds -> Gate.run target.program st ~seeds) options.gate
     in
     let prediction =
-      if options.predict then
+      if not options.predict then None
+      else
         let p = Predict.run target.program st in
-        Some
-          ( p,
-            if options.gate <> None then Predict.recheck target.program p
-            else [] )
-      else None
+        let recheck =
+          if options.gate = None then fun _ _ -> [] else Predict.recheck
+        in
+        Some (p, recheck target.program p)
     in
     { target; st; gate_result; prediction }
   in
@@ -74,8 +76,8 @@ let replay_lines t =
 
 let exit_code t =
   let failed e =
-    Option.fold ~none:false ~some:(fun g -> not (Gate.ok g)) e.gate_result
-    || Option.fold ~none:false ~some:(fun (_, fails) -> fails <> []) e.prediction
+    (match e.gate_result with Some g -> not (Gate.ok g) | None -> false)
+    || match e.prediction with Some (_, fails) -> fails <> [] | None -> false
   in
   let unproved e = Statics.proved_count e.st < Statics.block_count e.st in
   if List.exists failed t.entries then 1
@@ -122,23 +124,22 @@ let entry_json o e =
   let pos = e.target.pos in
   let field on name doc = if on then [ (name, doc ()) ] else [] in
   let predict_doc (p, fails) =
+    let open Json in
     match Predict.to_json ~replay_with:(spec e.target) p with
-    | Json.Obj pf when o.gate <> None ->
-      let failure (b, msg) =
-        Json.Obj [ ("block", Json.String b); ("message", Json.String msg) ]
+    | Obj pf when o.gate <> None ->
+      let failure (b, m) = Obj [ ("block", String b); ("message", String m) ] in
+      let recertified =
+        List.length (Predict.predictions p) - List.length fails
       in
-      Json.Obj
+      Obj
         (pf
         @ [
             ( "gate",
-              Json.Obj
+              Obj
                 [
-                  ( "recertified",
-                    Json.Int
-                      (List.length (Predict.predictions p) - List.length fails)
-                  );
-                  ("failures", Json.List (List.map failure fails));
-                  ("ok", Json.Bool (fails = []));
+                  ("recertified", Int recertified);
+                  ("failures", List (List.map failure fails));
+                  ("ok", Bool (fails = []));
                 ] );
           ])
     | pdoc -> pdoc
@@ -173,11 +174,8 @@ let write_dots dir t =
       in
       List.map
         (fun (kind, dot) ->
-          let path =
-            Filename.concat dir (Printf.sprintf "%s.%s.dot" slug kind)
-          in
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc dot);
+          let path = Filename.concat dir (slug ^ "." ^ kind ^ ".dot") in
+          Out_channel.with_open_bin path (fun oc -> output_string oc dot);
           path)
         (Statics.graph_dots e.st))
     t.entries

@@ -155,54 +155,3 @@ let print_injection ppf rows =
         r.detected_adversarial
         (pct r.detected_adversarial))
     rows
-
-type agreement_row = {
-  workload : string;
-  traces : int;
-  violating : int;
-  agreements : int;
-}
-
-let agreement ?(size = Workload.Medium) ?(seeds = [ 1; 2; 3; 4; 5 ]) () =
-  List.map
-    (fun (w : Workload.t) ->
-      let program = w.Workload.build size in
-      let names = program.Velodrome_sim.Ast.names in
-      let traces = ref 0 and violating = ref 0 and agreements = ref 0 in
-      List.iter
-        (fun adversarial ->
-          List.iter
-            (fun seed ->
-              let res =
-                Common.run_once ~seed ~adversarial ~record_trace:true program
-                  (fun _ -> [])
-              in
-              match res.Velodrome_sim.Run.trace with
-              | None -> ()
-              | Some tr ->
-                incr traces;
-                match Trio.check names tr with
-                | Ok violates ->
-                  incr agreements;
-                  if violates then incr violating
-                | Error _ -> ())
-            seeds)
-        [ false; true ];
-      {
-        workload = w.Workload.name;
-        traces = !traces;
-        violating = !violating;
-        agreements = !agreements;
-      })
-    Workload.all
-
-let print_agreement ppf rows =
-  Format.fprintf ppf "%-11s | %6s | %9s | %5s@." "Program" "Traces"
-    "Violating" "Agree";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-11s | %6d | %9d | %5s@." r.workload r.traces
-        r.violating
-        (if r.agreements = r.traces then "all"
-         else Printf.sprintf "%d/%d" r.agreements r.traces))
-    rows

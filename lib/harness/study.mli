@@ -63,26 +63,3 @@ val single_core :
   single_core_row list
 
 val print_single_core : Format.formatter -> single_core_row list -> unit
-
-(** {b Agreement} (A1): replay every workload's recorded traces through
-    the three sound-and-complete engines — the optimized graph engine,
-    the Figure 2 reference and the AeroDrome vector-clock checker — and
-    report whether they agreed on the verdict and on the first violating
-    event across every seed, with and without adversarial scheduling.
-    Two independent algorithms agreeing on every trace is the strongest
-    dynamic correctness evidence the harness can produce. *)
-
-type agreement_row = {
-  workload : string;
-  traces : int;  (** recorded schedules replayed *)
-  violating : int;  (** traces on which all three engines found a cycle *)
-  agreements : int;  (** traces with full three-way agreement *)
-}
-
-val agreement :
-  ?size:Velodrome_workloads.Workload.size ->
-  ?seeds:int list ->
-  unit ->
-  agreement_row list
-
-val print_agreement : Format.formatter -> agreement_row list -> unit

@@ -1,5 +1,5 @@
-(** The three-way engine differential, run by [analyze --gate], [fuzz],
-    {!Study.agreement} and the tests. One trace is replayed through the
+(** The three-way engine differential, run by {!Gate.run} (and so by
+    [analyze --gate] and the gate tests) and [fuzz]. One trace is replayed through the
     graph {!Velodrome_core.Engine}, the Figure 2 {!Velodrome_core.Basic}
     and the vector-clock {!Velodrome_core.Aero}: all three must agree on
     the verdict and the first violating event, and Aero and Basic on

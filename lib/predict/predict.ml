@@ -38,9 +38,6 @@ type t = {
   reports : block_report list;
 }
 
-let statics t = t.statics
-let reports t = t.reports
-let observed_events t = t.observed_events
 let observed_blamed t = t.observed_blamed
 
 let predictions t =
@@ -261,7 +258,7 @@ let replay_line spec (p : prediction) =
     p.name
     (Plan.to_string p.plan)
 
-let to_json ?file ?replay_with t =
+let to_json ~replay_with t =
   let names = Statics.names t.statics in
   let tx = Statics.txgraph t.statics in
   let preds = predictions t in
@@ -284,74 +281,73 @@ let to_json ?file ?replay_with t =
   in
   let open Json in
   Obj
-    ((match file with Some f -> [ ("file", String f) ] | None -> [])
-    @ [
-        ( "observation",
-          Obj
-            [
-              ("events", Int t.observed_events);
-              ( "blamed",
-                List
-                  (List.map
-                     (fun l -> String (Names.label_name names l))
-                     t.observed_blamed) );
-            ] );
-        ( "predictions",
-          List
-            (List.map
-               (fun p ->
-                 Obj
-                   ([
-                      ("block", String (Names.label_name names p.label));
-                      ("plan", String (Plan.kind_string p.plan.Plan.kind));
-                      ("schedule", String (Plan.to_string p.plan));
-                      ("resolved", Bool p.resolved);
-                      ("first_error_index", Int p.first_error_index);
-                      ("trace_events", Int (Trace.length p.trace));
-                    ]
-                   @ (match replay_with with
-                     | Some spec -> [ ("replay", String (replay_line spec p)) ]
-                     | None -> [])
-                   @ [ ("witness", Txgraph.witness_json tx p.witness) ]))
-               preds) );
-        ( "verdicts",
-          List
-            (List.map
-               (fun ((b : Statics.block), v) ->
-                 Obj
-                   [
-                     ("block", String b.Statics.name);
-                     ("verdict", String (verdict_string v));
-                   ])
-               (verdicts t)) );
-        ( "unpredicted",
-          List
-            (List.map
-               (fun ((b : Statics.block), attempts) ->
-                 Obj
-                   [
-                     ("block", String b.Statics.name);
-                     ( "attempts",
-                       List
-                         (List.map
-                            (fun a -> String (attempt_string a))
-                            attempts) );
-                   ])
-               unpredicted) );
-        ( "summary",
-          Obj
-            [
-              ("blocks", Int (List.length t.reports));
-              ("may_violate", Int may_violate);
-              ("predicted", Int (List.length preds));
-              ("certified", Int (List.length preds));
-              ("uncertified", Int 0);
-              ("unpredicted", Int (List.length unpredicted));
-              ("observed_blamed", Int (List.length t.observed_blamed));
-            ] );
-      ])
+    [
+      ( "observation",
+        Obj
+          [
+            ("events", Int t.observed_events);
+            ( "blamed",
+              List
+                (List.map
+                   (fun l -> String (Names.label_name names l))
+                   t.observed_blamed) );
+          ] );
+      ( "predictions",
+        List
+          (List.map
+             (fun p ->
+               Obj
+                 ([
+                    ("block", String (Names.label_name names p.label));
+                    ("plan", String (Plan.kind_string p.plan.Plan.kind));
+                    ("schedule", String (Plan.to_string p.plan));
+                    ("resolved", Bool p.resolved);
+                    ("first_error_index", Int p.first_error_index);
+                    ("trace_events", Int (Trace.length p.trace));
+                  ]
+                 @ [
+                     ("replay", String (replay_line replay_with p));
+                     ("witness", Txgraph.witness_json tx p.witness);
+                   ]))
+             preds) );
+      ( "verdicts",
+        List
+          (List.map
+             (fun ((b : Statics.block), v) ->
+               Obj
+                 [
+                   ("block", String b.Statics.name);
+                   ("verdict", String (verdict_string v));
+                 ])
+             (verdicts t)) );
+      ( "unpredicted",
+        List
+          (List.map
+             (fun ((b : Statics.block), attempts) ->
+               Obj
+                 [
+                   ("block", String b.Statics.name);
+                   ( "attempts",
+                     List
+                       (List.map
+                          (fun a -> String (attempt_string a))
+                          attempts) );
+                 ])
+             unpredicted) );
+      ( "summary",
+        Obj
+          [
+            ("blocks", Int (List.length t.reports));
+            ("may_violate", Int may_violate);
+            ("predicted", Int (List.length preds));
+            ("certified", Int (List.length preds));
+            ("uncertified", Int 0);
+            ("unpredicted", Int (List.length unpredicted));
+            ("observed_blamed", Int (List.length t.observed_blamed));
+          ] );
+    ]
 
-let pp_human ?replay_with ppf t =
+let pp_human ~replay_with ppf t =
   let names = Statics.names t.statics in
   let tx = Statics.txgraph t.statics in
   let preds = predictions t in
@@ -375,10 +371,7 @@ let pp_human ?replay_with ppf t =
           (Plan.kind_string p.plan.Plan.kind)
           p.first_error_index;
         Format.fprintf ppf "    schedule: %s@." (Plan.to_string p.plan);
-        (match replay_with with
-        | Some spec ->
-          Format.fprintf ppf "    replay: %s@." (replay_line spec p)
-        | None -> ());
+        Format.fprintf ppf "    replay: %s@." (replay_line replay_with p);
         Format.fprintf ppf "    cycle: %s@." (Txgraph.explain tx p.witness)
       | Unpredicted attempts ->
         Format.fprintf ppf "  %s: unpredicted (%s)@." r.block.Statics.name

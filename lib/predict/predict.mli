@@ -58,12 +58,9 @@ val run : Velodrome_sim.Ast.program -> Statics.t -> t
     At most 8 witnesses are tried per block, and each constrained replay
     is bounded at 200,000 steps. *)
 
-val statics : t -> Statics.t
-val reports : t -> block_report list
 val predictions : t -> prediction list
 (** Certified predictions only, in block order. *)
 
-val observed_events : t -> int
 val observed_blamed : t -> Label.t list
 (** Blocks the round-robin observation itself flamed (deduplicated). *)
 
@@ -99,9 +96,9 @@ val verdicts : t -> (Statics.block * verdict) list
 val verdict_string : verdict -> string
 (** {!Statics.verdict_string}, plus ["predicted-violation"]. *)
 
-val to_json : ?file:string -> ?replay_with:string -> t -> Velodrome_util.Json.t
-val pp_human : ?replay_with:string -> Format.formatter -> t -> unit
+val to_json : replay_with:string -> t -> Velodrome_util.Json.t
+val pp_human : replay_with:string -> Format.formatter -> t -> unit
 (** [replay_with] is the CLI spec naming the program (a target, or
-    ["--generated 1 --gen-seed N"]); when given, every prediction carries
-    a one-command replay line
+    ["--generated 1 --gen-seed N"]); every prediction carries a
+    one-command replay line
     [velodrome analyze SPEC --block B --schedule "..."]. *)

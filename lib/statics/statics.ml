@@ -136,21 +136,17 @@ let outermost_label t (site : Cfg.site) =
     | x :: p, y :: q -> x = y && prefix p q
     | _ :: _, [] -> false
   in
-  List.fold_left
-    (fun best b ->
-      List.fold_left
-        (fun best (o : Cfg.site) ->
+  List.concat_map
+    (fun b ->
+      List.filter_map
+        (fun (o : Cfg.site) ->
           if o.Cfg.thread = site.Cfg.thread && prefix o.Cfg.path site.Cfg.path
-          then
-            match best with
-            | Some (_, (p : Cfg.site))
-              when List.length p.Cfg.path <= List.length o.Cfg.path ->
-              best
-            | _ -> Some (b.label, o)
-          else best)
-        best b.sites)
-    None t.blocks
-  |> Option.map fst
+          then Some (List.length o.Cfg.path, b.label)
+          else None)
+        b.sites)
+    t.blocks
+  |> List.sort compare
+  |> function [] -> None | (_, l) :: _ -> Some l
 
 (* A variable is suppressed only when [Movers.suppressible] and every live
    access to it, in every thread, lies inside an outermost proved block.
@@ -510,7 +506,7 @@ let pp_races_human ?(pos = fun _ -> None) ppf t =
     (if Races.racy_var_count t.races = 1 then "" else "s")
     (Races.access_sites t.races)
 
-let races_to_json ?(pos = fun _ -> None) ?file t =
+let races_to_json ?(pos = fun _ -> None) t =
   let open Velodrome_util.Json in
   let access_json (acc : Races.access) =
     let position =
@@ -545,19 +541,15 @@ let races_to_json ?(pos = fun _ -> None) ?file t =
       ]
   in
   Obj
-    (List.concat
-       [
-         (match file with Some f -> [ ("file", String f) ] | None -> []);
-         [
-           ("pairs", List (List.map pair_json (race_pairs t)));
-           ( "summary",
-             Obj
-               [
-                 ("pairs", Int (race_pair_count t));
-                 ("racy_vars", Int (Races.racy_var_count t.races));
-                 ("access_sites", Int (Races.access_sites t.races));
-                 ("blocks", Int (block_count t));
-                 ("proved", Int (proved_count t));
-               ] );
-         ];
-       ])
+    [
+      ("pairs", List (List.map pair_json (race_pairs t)));
+      ( "summary",
+        Obj
+          [
+            ("pairs", Int (race_pair_count t));
+            ("racy_vars", Int (Races.racy_var_count t.races));
+            ("access_sites", Int (Races.access_sites t.races));
+            ("blocks", Int (block_count t));
+            ("proved", Int (proved_count t));
+          ] );
+    ]

@@ -137,10 +137,7 @@ val pp_races_human :
     held locks, and the atomic blocks each pair endangers. *)
 
 val races_to_json :
-  ?pos:(Label.t -> (int * int) option) ->
-  ?file:string ->
-  t ->
-  Velodrome_util.Json.t
+  ?pos:(Label.t -> (int * int) option) -> t -> Velodrome_util.Json.t
 (** Stable race-pair document ([pairs] array + [summary]); source
     positions anchor to each access's innermost enclosing atomic block
     when available. *)

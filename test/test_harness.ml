@@ -286,89 +286,58 @@ let test_gate_run () =
 
 module Report = Velodrome_harness.Report
 
-let scan_target () =
-  {
-    Report.name = "scan";
-    program = scan_program ();
-    pos = (fun _ -> None);
-    generated = None;
-  }
+let scan_target =
+  { Report.name = "scan"; program = scan_program (); pos = (fun _ -> None);
+    generated = None }
 
-let report_options =
-  {
-    Report.values = true;
-    show_values = false;
-    races = true;
-    graph = false;
-    gate = None;
-    predict = false;
-  }
+let report ?(races = true) ?gate ?(predict = false) () =
+  Report.run
+    { Report.values = true; show_values = false; races; graph = false; gate;
+      predict }
+    [ scan_target ]
 
 (* The human report is the statics renderers' output in a fixed order,
    with a header per target unless the report is about one named
    program. *)
 let test_report_human () =
   let module Statics = Velodrome_statics.Statics in
-  let t = scan_target () in
-  let r = Report.run report_options [ t ] in
-  let st = Statics.analyze t.Report.program in
+  let st = Statics.analyze scan_target.Report.program in
   let expected =
-    Format.asprintf "%a%a" (Statics.pp_human ~pos:t.Report.pos) st
-      (Statics.pp_races_human ~pos:t.Report.pos) st
+    Format.asprintf "%a%a" (Statics.pp_human ?pos:None) st
+      (Statics.pp_races_human ?pos:None) st
   in
-  check Alcotest.string "single" expected
-    (Format.asprintf "%a" (Report.pp_human ~single:true) r);
-  check Alcotest.string "with header" ("== scan ==\n" ^ expected)
-    (Format.asprintf "%a" (Report.pp_human ~single:false) r);
-  check int "unproved block exits 1" 1 (Report.exit_code r);
-  check Alcotest.(list string) "no replay lines" [] (Report.replay_lines r)
+  let r = report () in
+  let human single = Format.asprintf "%a" (Report.pp_human ~single) r in
+  check Alcotest.string "single" expected (human true);
+  check Alcotest.string "with header" ("== scan ==\n" ^ expected) (human false);
+  check int "unproved block exits 1" 1 (Report.exit_code r)
 
 let test_report_json () =
   let open Velodrome_util.Json in
-  let keys = function
-    | Obj fields -> List.map fst fields
-    | _ -> Alcotest.fail "not an object"
-  in
-  let t = scan_target () in
-  let r = Report.run report_options [ t ] in
-  check
-    Alcotest.(list string)
-    "statics document, then races"
-    [ "file"; "blocks"; "summary"; "races" ]
-    (keys (Report.to_json ~single:true r));
-  (match Report.to_json ~single:false r with
-  | List [ d ] -> check bool "array of one" true (d = Report.to_json ~single:true r)
-  | _ -> Alcotest.fail "expected an array of one document");
-  let r =
-    Report.run
-      { report_options with races = false; gate = Some [ 7 ]; predict = true }
-      [ t ]
-  in
-  check
-    Alcotest.(list string)
-    "gate and predict fields"
-    [ "file"; "blocks"; "summary"; "gate"; "predict" ]
-    (keys (Report.to_json ~single:true r));
-  check int "gate and prediction gate pass" 0 (Report.exit_code r);
-  match Report.to_json ~single:true r with
-  | Obj fields -> (
-    match List.assoc "predict" fields with
-    | Obj pf -> (
-      match List.assoc "predictions" pf with
-      | List [ Obj p ] ->
-        check bool "replay line names analyze" true
-          (List.assoc "replay" p
-          = String
-              "velodrome analyze scan --block scan --schedule \"t1@0.0 -> \
-               t0@0 -> t0@1 -> t1@0.1\"")
-      | _ -> Alcotest.fail "expected one prediction")
-    | _ -> Alcotest.fail "predict is not an object")
-  | _ -> Alcotest.fail "not an object"
+  let fields = function Obj f -> f | _ -> Alcotest.fail "not an object" in
+  let keys r = List.map fst (fields (Report.to_json ~single:true r)) in
+  let r = report () in
+  check Alcotest.(list string) "statics, then races"
+    [ "file"; "blocks"; "summary"; "races" ] (keys r);
+  check bool "array of one unless single" true
+    (Report.to_json ~single:false r = List [ Report.to_json ~single:true r ]);
+  let r = report ~races:false ~gate:[ 7 ] ~predict:true () in
+  check Alcotest.(list string) "gate and predict"
+    [ "file"; "blocks"; "summary"; "gate"; "predict" ] (keys r);
+  check int "both gates pass" 0 (Report.exit_code r);
+  let predict = List.assoc "predict" (fields (Report.to_json ~single:true r)) in
+  match List.assoc "predictions" (fields predict) with
+  | List [ p ] ->
+    check bool "replay line" true
+      (List.assoc "replay" (fields p)
+      = String
+          "velodrome analyze scan --block scan --schedule \"t1@0.0 -> t0@0 \
+           -> t0@1 -> t1@0.1\"")
+  | _ -> Alcotest.fail "expected one prediction"
 
 let test_report_replay () =
-  let t = scan_target () in
   let replay schedule =
-    match Report.replay t ~block:"scan" ~schedule with
+    match Report.replay scan_target ~block:"scan" ~schedule with
     | Ok r -> Format.asprintf "%a" (Report.pp_replay ~block:"scan") r
     | Error msg -> "error: " ^ msg
   in
@@ -379,17 +348,20 @@ let test_report_replay () =
     "scan: not certified: replayed but the engine trio did not flame the \
      block\n"
     (replay "t1@0.0 -> t1@0.1 -> t0@0");
-  check bool "unknown block" true
-    (Result.is_error (Report.replay t ~block:"nope" ~schedule:"t0@0"));
+  check Alcotest.string "unknown block" "error: no atomic block named \"nope\""
+    (match Report.replay scan_target ~block:"nope" ~schedule:"t0@0" with
+    | Error msg -> "error: " ^ msg
+    | Ok _ -> "ok");
   check bool "bad schedule" true
-    (Result.is_error (Report.replay t ~block:"scan" ~schedule:"t0@@"))
+    (String.starts_with ~prefix:"error: bad" (replay "t0@@"))
 
 (* The adversarial schedules must really be adversarial: the Atomizer's
    pause hints make them pause, so they differ from the random schedules
    of the same seeds. *)
 let test_gate_adversarial_pauses () =
   let module Workload = Velodrome_workloads.Workload in
-  let program = (Option.get (Workload.find "multiset")).Workload.build Workload.Small in
+  let w = Option.get (Workload.find "multiset") in
+  let program = w.Workload.build Workload.Small in
   let g =
     Gate.run program (Velodrome_statics.Statics.analyze program) ~seeds:[ 7 ]
   in

@@ -127,26 +127,6 @@ let unknown_count t =
   count_verdict t (function Unknown _ -> true | _ -> false)
 
 let block_count t = List.length t.blocks
-(* The label of the outermost atomic occurrence enclosing [site], if
-   any: an occurrence encloses the sites its path prefixes. *)
-let outermost_label t (site : Cfg.site) =
-  let rec prefix p q =
-    match (p, q) with
-    | [], _ -> true
-    | x :: p, y :: q -> x = y && prefix p q
-    | _ :: _, [] -> false
-  in
-  List.concat_map
-    (fun b ->
-      List.filter_map
-        (fun (o : Cfg.site) ->
-          if o.Cfg.thread = site.Cfg.thread && prefix o.Cfg.path site.Cfg.path
-          then Some (List.length o.Cfg.path, b.label)
-          else None)
-        b.sites)
-    t.blocks
-  |> List.sort compare
-  |> function [] -> None | (_, l) :: _ -> Some l
 
 (* A variable is suppressed only when [Movers.suppressible] and every live
    access to it, in every thread, lies inside an outermost proved block.
@@ -165,8 +145,8 @@ let filter_predicates ?(lipton_only = false) t =
     (fun n ->
       match n.Cfg.eff with
       | (Cfg.Read x | Cfg.Write x) when not (dead n.Cfg.site) -> (
-        match outermost_label t n.Cfg.site with
-        | Some l when proved_id (Label.to_int l) -> ()
+        match List.rev (Mhp.enclosing_atomics t.mhp n.Cfg.id) with
+        | outermost :: _ when proved_id (Label.to_int outermost) -> ()
         | _ -> Hashtbl.replace exposed (Var.to_int x) ())
       | _ -> ())
     t.cfg;

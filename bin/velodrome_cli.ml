@@ -189,6 +189,9 @@ let parse_vel file =
   | exception Velodrome_lang.Lexer.Lex_error (m, l, c) ->
     Printf.eprintf "%s: lex error at %d:%d: %s\n" file l c m;
     exit 2
+  | exception Sys_error msg ->
+    prerr_endline msg;
+    exit 2
   | program, positions ->
     (checked_program file program, fun l -> List.assoc_opt l positions)
 
@@ -198,8 +201,7 @@ module Report = Velodrome_harness.Report
    are built in memory and have no source positions. *)
 let build_target name size =
   let program, pos =
-    if Filename.check_suffix name ".vel" && Sys.file_exists name then
-      parse_vel name
+    if Filename.check_suffix name ".vel" then parse_vel name
     else
       match Workload.find name with
       | None ->

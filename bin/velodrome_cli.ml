@@ -267,7 +267,7 @@ let run_cmd =
     if warnings <> [] then exit 1
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one workload under selected analyses." ~exits)
+    (Cmd.info "run" ~doc:"Run a workload or a .vel program under selected analyses." ~exits)
     Term.(
       const run $ workload $ size_arg $ seed_arg $ adversarial_arg
       $ analyses_arg [ "velodrome"; "atomizer" ] $ dot_dir $ spec_arg)

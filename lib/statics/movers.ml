@@ -130,17 +130,16 @@ let at_site t (site : Cfg.site) =
 
 (* The per-variable half of the static filter's condition
    (Statics.filter_predicates adds that every access lies inside a
-   proved block): every access
-   is either confined to one thread (no cross-thread conflict edges at
-   all), performed under a program-wide common guard, or free of race
-   pairs altogether, in which case every conflicting access pair shares
-   some lock whose acquire/release events (which the filter keeps)
-   already order the accesses against each other exactly as the elided
-   communication edges would. Read-only variables are proof
-   material but deliberately NOT suppressible: lockset back-ends
-   (Eraser's state machine, the Atomizer's embedded oracle) do observe
-   lock-free reads of them, and eliding those would perturb verdicts on
-   unrelated blocks. *)
+   proved block): every access is either confined to one thread (no
+   cross-thread conflict edges at all), performed under a program-wide
+   common guard, or free of race pairs altogether, in which case every
+   conflicting access pair shares some lock whose acquire/release events
+   (which the filter keeps) already order the accesses against each
+   other exactly as the elided communication edges would. Read-only
+   variables are proof material but deliberately NOT suppressible:
+   lockset back-ends (Eraser's state machine, the Atomizer's embedded
+   oracle) do observe lock-free reads of them, and eliding those would
+   perturb verdicts on unrelated blocks. *)
 let suppressible t x =
   match IntMap.find_opt (Var.to_int x) t.vars with
   | None -> false

@@ -128,12 +128,10 @@ let unknown_count t =
 
 let block_count t = List.length t.blocks
 
-(* A variable is suppressed only when [Movers.suppressible] and every live
-   access to it, in every thread, lies inside an outermost proved block.
-   A suppressed access then never ends a data edge to an unproved
-   transaction, so the edges the filter hides run between proved
-   transactions only; the engines' post-violation edge dropping cannot
-   make a later warning hinge on one of them. *)
+(* A variable with a live access outside every outermost proved block is
+   never suppressed: a suppressed access must not end a data edge to an
+   unproved transaction, because after an engine drops a cycle-closing
+   edge a later warning can hinge on exactly such an edge. *)
 let filter_predicates ?(lipton_only = false) t =
   let ids = if lipton_only then t.lipton_ids else t.proved_ids in
   let proved_id l = IntSet.mem l ids in
@@ -151,7 +149,8 @@ let filter_predicates ?(lipton_only = false) t =
       | _ -> ())
     t.cfg;
   let suppress_var x =
-    (not (Hashtbl.mem exposed x)) && Movers.suppressible t.movers (Var.of_int x)
+    (not (Hashtbl.mem exposed x))
+    && Movers.suppressible t.movers (Var.of_int x)
   in
   (proved_id, suppress_var)
 

@@ -132,7 +132,8 @@ let replay_latent seed =
   if not predicted_scan then
     Alcotest.failf
       "latent pin: progen seed %d: prediction failed to certify \
-       gen.lat.scan@.replay: velodrome analyze --generated 1 --gen-seed %d --predict"
+       gen.lat.scan@.replay: velodrome analyze --generated 1 --gen-seed %d \
+       --predict"
       seed seed
 
 let test_latent () = List.iter replay_latent latent_seeds

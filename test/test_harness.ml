@@ -281,8 +281,7 @@ let test_gate_run () =
          | _ -> false)
        g.Gate.failures)
 
-
-(* --- analyze's report ---------------------------------------------------------- *)
+(* --- analyze's report ----------------------------------------------------- *)
 
 module Report = Velodrome_harness.Report
 
@@ -303,8 +302,8 @@ let test_report_human () =
   let module Statics = Velodrome_statics.Statics in
   let st = Statics.analyze scan_target.Report.program in
   let expected =
-    Format.asprintf "%a%a" (Statics.pp_human ?pos:None) st
-      (Statics.pp_races_human ?pos:None) st
+    Format.asprintf "%a%a" (Statics.pp_human ~pos:scan_target.Report.pos) st
+      (Statics.pp_races_human ~pos:scan_target.Report.pos) st
   in
   let r = report () in
   let human single = Format.asprintf "%a" (Report.pp_human ~single) r in

@@ -459,6 +459,7 @@ let check_file file kind =
    integers, so timing fields are known by name, not by JSON type. *)
 let timing_fields = function
   | "predict" -> [ "predict_ms"; "predict_ms_total" ]
+  | "analyze" -> []
   | kind ->
     List.filter_map (fun (name, ty) -> if ty = N then Some name else None)
       (schema kind)

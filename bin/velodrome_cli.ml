@@ -250,6 +250,15 @@ let run_cmd =
     let backends =
       make_backends analyses names |> apply_spec (load_spec spec) names
     in
+    (* Only the Atomizer ever asks for a pause, so --adversarial attaches
+       one as the pause oracle, as Gate.run does; its warnings are
+       printed only when -a names it. *)
+    let oracle = adversarial && not (List.mem_assoc "atomizer" analyses) in
+    let backends =
+      if oracle then
+        Backend.make (Velodrome_atomizer.Atomizer.backend ()) names :: backends
+      else backends
+    in
     let config =
       {
         Velodrome_sim.Run.default_config with
@@ -261,7 +270,12 @@ let run_cmd =
     Printf.printf "%s: %d events, %d pauses%s\n" name
       res.Velodrome_sim.Run.events res.Velodrome_sim.Run.pauses
       (if res.Velodrome_sim.Run.deadlocked then " (DEADLOCK)" else "");
-    let warnings = Warning.dedup_by_label res.Velodrome_sim.Run.warnings in
+    let shown (w : Warning.t) =
+      not (oracle && w.analysis = Velodrome_atomizer.Atomizer.name)
+    in
+    let warnings =
+      Warning.dedup_by_label (List.filter shown res.Velodrome_sim.Run.warnings)
+    in
     report_warnings names warnings;
     Option.iter (fun dir -> dump_dots dir names warnings) dot_dir;
     if warnings <> [] then exit 1
@@ -904,22 +918,13 @@ let serve_cmd =
             "Worker domains. Defaults to the recommended domain count, \
              clamped to the number of streams.")
   in
-  let queue_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Job-queue capacity, rounded up to a power of two (default: \
-             2*jobs). Bounds resident streams at capacity + jobs.")
-  in
   let stats_flag =
     Arg.(
       value & flag
       & info [ "stats" ]
           ~doc:"Report per-stream timings and a pool summary to stderr.")
   in
-  let run targets analyses jobs queue stats fmt =
+  let run targets analyses jobs stats fmt =
     let paths =
       match Serve.expand_targets targets with
       | Ok paths -> paths
@@ -948,7 +953,7 @@ let serve_cmd =
       end
     in
     let s =
-      Serve.run ?jobs ?queue_capacity:queue ~format:fmt ~backends
+      Serve.run ?jobs ~format:fmt ~backends
         ~on_result:print_result paths
     in
     if stats then begin
@@ -977,8 +982,7 @@ let serve_cmd =
     Term.(
       const run $ targets
       $ analyses_arg [ "velodrome" ]
-      $ jobs_arg $ queue_arg
-      $ stats_flag $ format_arg)
+      $ jobs_arg $ stats_flag $ format_arg)
 
 let () =
   let doc = "sound and complete dynamic atomicity checking (PLDI 2008)" in

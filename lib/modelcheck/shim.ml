@@ -1,6 +1,6 @@
 (* Traced synchronization primitives (the DSCheck idea, rebuilt in-tree
-   and dependency-free). Every operation — atomic access, plain-cell
-   access, mutex, condition, [cpu_relax] — performs one effect carrying:
+   and dependency-free). Every operation — cell access, mutex,
+   condition — performs one effect carrying:
 
    - a printable tag (for counterexample schedules),
    - the objects it touches and whether it writes them (the DPOR
@@ -14,7 +14,7 @@
    and decides when — and in which interleavings — the operation
    executes. Code under test is therefore written once against this API
    (structurally identical to the [Stdlib] modules, so a functor like
-   [Squeue.Make] accepts either) and gains exhaustive schedule coverage
+   [Serve.Make] accepts either) and gains exhaustive schedule coverage
    without a single source change.
 
    Everything here assumes the single-domain cooperative world of the
@@ -22,7 +22,7 @@
    operations only ever run one at a time, between scheduling points.
    The explored semantics is sequential consistency; see DESIGN
    "Model-checked concurrency" for why that is the right model for the
-   queue's publication protocol. *)
+   serve pool's monitor. *)
 
 type access = { obj : int; write : bool }
 
@@ -53,37 +53,6 @@ let op ?(enabled = always) ~tag ~accesses execute =
 
 let rd obj = { obj; write = false }
 let wr obj = { obj; write = true }
-
-module Atomic = struct
-  type 'a t = { id : int; mutable v : 'a }
-
-  let make v = { id = fresh_id (); v }
-
-  let get a =
-    op ~tag:(Printf.sprintf "get a%d" a.id) ~accesses:[ rd a.id ] (fun () ->
-        a.v)
-
-  let set a v =
-    op ~tag:(Printf.sprintf "set a%d" a.id) ~accesses:[ wr a.id ] (fun () ->
-        a.v <- v)
-
-  (* Physical equality, like [Stdlib.Atomic.compare_and_set]. *)
-  let compare_and_set a old nv =
-    op ~tag:(Printf.sprintf "cas a%d" a.id) ~accesses:[ wr a.id ] (fun () ->
-        if a.v == old then begin
-          a.v <- nv;
-          true
-        end
-        else false)
-
-  let incr a =
-    op ~tag:(Printf.sprintf "incr a%d" a.id) ~accesses:[ wr a.id ] (fun () ->
-        a.v <- a.v + 1)
-
-  let decr a =
-    op ~tag:(Printf.sprintf "decr a%d" a.id) ~accesses:[ wr a.id ] (fun () ->
-        a.v <- a.v - 1)
-end
 
 module Plain = struct
   type 'a t = { id : int; mutable v : 'a }
@@ -122,12 +91,16 @@ end
 
 module Condition = struct
   (* A condition is a broadcast generation counter: waiters atomically
-     release the mutex and remember the generation, park until a
-     broadcast bumps it, then reacquire. This models Stdlib.Condition
-     precisely for broadcast-only users (Squeue never uses [signal]) and
+     release the mutex and remember the generation, then reacquire once
+     a broadcast has bumped it. This models Stdlib.Condition precisely
+     for broadcast-only users (the serve pool never uses [signal]) and
      keeps lost wakeups observable: a broadcast that happens before the
      release step does not bump the waiter's remembered generation, so
-     the waiter sleeps forever and the explorer reports the deadlock. *)
+     the waiter sleeps forever and the explorer reports the deadlock.
+     Waking and reacquiring are one transition: a woken waiter does
+     nothing observable before it holds the mutex, and generations only
+     grow, so a separate wake step would only multiply schedules that
+     differ in when it is noted. *)
   type t = { id : int; mutable gen : int }
 
   let create () = { id = fresh_id (); gen = 0 }
@@ -142,14 +115,9 @@ module Condition = struct
           c.gen)
     in
     op
-      ~tag:(Printf.sprintf "wait-wake c%d" c.id)
-      ~accesses:[ rd c.id ]
-      ~enabled:(fun () -> c.gen > g)
-      (fun () -> ());
-    op
-      ~tag:(Printf.sprintf "wait-relock m%d" m.id)
-      ~accesses:[ wr m.id ]
-      ~enabled:(fun () -> not m.held)
+      ~tag:(Printf.sprintf "wait-relock c%d/m%d" c.id m.id)
+      ~accesses:[ rd c.id; wr m.id ]
+      ~enabled:(fun () -> c.gen > g && not m.held)
       (fun () -> m.held <- true)
 
   let broadcast c =
@@ -158,11 +126,3 @@ module Condition = struct
       ~accesses:[ wr c.id ]
       (fun () -> c.gen <- c.gen + 1)
 end
-
-(* A pure scheduling point: independent of everything, so DPOR never
-   branches on it — it only adds the depth a spin loop deserves. *)
-let cpu_relax () = op ~tag:"cpu_relax" ~accesses:[] (fun () -> ())
-
-(* Spin budget for code functorized over a [spin_budget] knob: one spin
-   keeps every spin-then-park path reachable at explorable depth. *)
-let spin_budget = 1

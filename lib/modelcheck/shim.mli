@@ -1,9 +1,9 @@
 (** Traced synchronization primitives for the in-tree model checker.
 
-    Structurally compatible with [Stdlib.Atomic] / [ref] /
-    [Stdlib.Mutex] / [Stdlib.Condition], so code functorized over its
-    primitives (e.g. [Velodrome_util.Squeue.Make]) runs unchanged under
-    the {!Explore} scheduler. Every operation performs the {!Op} effect;
+    Structurally compatible with [ref] / [Stdlib.Mutex] /
+    [Stdlib.Condition], so code functorized over its primitives (e.g.
+    [Velodrome_serve.Serve.Make]) runs unchanged under the {!Explore}
+    scheduler. Every operation performs the {!Op} effect;
     outside an explorer run that effect is unhandled, so this module is
     only usable from inside {!Explore.explore} / {!Explore.replay}
     scenarios (including their init and final-check phases, which
@@ -29,29 +29,6 @@ val reset : unit -> unit
 (** Reset the object-id allocator; called by the explorer before each
     run so ids and schedules are stable across replays. *)
 
-val op :
-  ?enabled:(unit -> bool) ->
-  tag:string ->
-  accesses:access list ->
-  (unit -> 'r) ->
-  'r
-(** Perform one traced operation. Building block for the modules below
-    and for scenario-specific helpers. *)
-
-val rd : int -> access
-val wr : int -> access
-
-module Atomic : sig
-  type 'a t
-
-  val make : 'a -> 'a t
-  val get : 'a t -> 'a
-  val set : 'a t -> 'a -> unit
-  val compare_and_set : 'a t -> 'a -> 'a -> bool
-  val incr : int t -> unit
-  val decr : int t -> unit
-end
-
 module Plain : sig
   type 'a t
 
@@ -74,15 +51,9 @@ module Condition : sig
   val create : unit -> t
 
   val wait : t -> Mutex.t -> unit
-  (** Three transitions: atomically release the mutex and record the
-      broadcast generation; park until a broadcast bumps it; reacquire.
-      Exact for broadcast-only users. *)
+  (** Two transitions: atomically release the mutex and record the
+      broadcast generation; then, once a broadcast has bumped it and the
+      mutex is free, reacquire. Exact for broadcast-only users. *)
 
   val broadcast : t -> unit
 end
-
-val cpu_relax : unit -> unit
-(** A pure scheduling point, independent of every other operation. *)
-
-val spin_budget : int
-(** 1 — keeps spin-then-park paths reachable at explorable depth. *)

@@ -1,8 +1,8 @@
 (* The model-checking CI gate (also handy interactively).
 
-   Runs every healthy squeue scenario under the DPOR explorer with an
-   explicit schedule budget — each must come back [Verified] — then the
-   two seeded mutants, each of which must produce a counterexample
+   Runs every healthy serve pool scenario under the DPOR explorer with
+   an explicit schedule budget — each must come back [Verified] — then
+   the two mutants, each of which must produce a counterexample
    (printed as its minimized, numbered schedule and re-validated by a
    deterministic replay). Any other outcome — a violation in a healthy
    scenario, a mutant the explorer misses, a budget overrun — writes the
@@ -94,12 +94,13 @@ let run_expected_counterexample (name, scenario) =
 let () =
   parse (List.tl (Array.to_list Sys.argv));
   (if Sys.file_exists !trace_out then Sys.remove !trace_out);
-  Format.printf "model-checking squeue scenarios (mode %s, budget %d \
-                 schedules, %d steps/run)@."
+  Format.printf
+    "model-checking serve pool scenarios (mode %s, budget %d schedules, %d \
+     steps/run)@."
     (match !mode with `Dpor -> "dpor" | `Full -> "full")
     !budget !steps;
   List.iter run_expected_verified Mc_scenarios.healthy;
-  Format.printf "mutation gate: the checker must flag both seeded bugs@.";
+  Format.printf "mutation gate: the checker must flag both mutants@.";
   List.iter run_expected_counterexample Mc_scenarios.mutants;
   if !failures > 0 then begin
     Format.printf "@.%d scenario(s) failed; traces in %s@." !failures

@@ -1,267 +1,184 @@
-(* The model-checked squeue scenario library.
+(* The model-checked serve pool scenarios.
 
-   [Squeue.Make] is instantiated with the traced shim from
-   lib/modelcheck, so every atomic access, slot access, mutex/condition
-   operation and spin of the *production* queue source becomes a
-   scheduling point of the DPOR explorer. Five scenarios cover the
-   guarantees the serve pool leans on, at the small bounds DESIGN
-   "Model-checked concurrency" documents; the [Overwrite]/[Lost_wakeup]
-   instantiations re-introduce the two seeded bugs behind
-   [Squeue.Make_mutant] for the mutation gate — the test that proves the
-   explorer actually finds concurrency bugs in this code shape.
+   [Serve.Make] is instantiated with the traced shim from lib/modelcheck,
+   so every lock, condition operation and cell access of the
+   *production* monitor becomes a scheduling point of the DPOR explorer.
+   The scenarios run the real protocol — main admits and emits, two
+   workers take and post — over stub streams whose "check" is a pure
+   function (one of them raises), at the small bounds DESIGN
+   "Model-checked concurrency" documents. The two mutants break the
+   primitives, not the monitor: a [Condition.broadcast] that does
+   nothing, and a [Mutex] whose lock and unlock do nothing. Each must
+   give a counterexample — the test that proves the explorer finds
+   concurrency bugs in this code shape.
 
    Shared by the alcotest suite (test_modelcheck.ml) and the CI runner
    (mc_run.ml). *)
 
 module Explore = Velodrome_modelcheck.Explore
 module Shim = Velodrome_modelcheck.Shim
-module Squeue = Velodrome_util.Squeue
-
-(* The traced instantiation of the queue's PRIMS: structurally the same
-   API as Stdlib_prims, every operation an explorer scheduling point,
-   spin budget 1 so the spin-then-park paths stay at explorable depth. *)
-module Model_prims = struct
-  module Atomic = Shim.Atomic
-  module Plain = Shim.Plain
-  module Mutex = Shim.Mutex
-  module Condition = Shim.Condition
-
-  let cpu_relax = Shim.cpu_relax
-  let spin_budget = Shim.spin_budget
-end
+module Serve = Velodrome_serve.Serve
 
 let require = Explore.require
 let ints xs = String.concat ";" (List.map string_of_int xs)
+let capacity = 1
 
-(* The scenarios, generic in the queue implementation so the same five
-   run against the healthy queue and against each seeded mutant. *)
-module Scenarios (Q : Squeue.S) = struct
-  (* Two producers, one consumer, capacity 1 (rounded to the 2-slot
-     minimum): conservation (no element lost or duplicated) and
-     per-producer FIFO — P0's 1 must be consumed before P0's 2. *)
-  let mpsc_conservation =
+(* A stub stream's result is its index, or the index negated for the
+   raising stream's recovered result. *)
+exception Stream_raised
+
+(* The scenarios, generic in the primitives so the same ones run
+   against the healthy shim and against each mutant. [raising] is the
+   stream whose check raises; [stop_after] makes main's [emit] raise
+   after that many results, as an [on_result] exception does. *)
+module Scenarios (P : Serve.PRIMS) = struct
+  module M = Serve.Make (P)
+
+  let pool ?(jobs = 2) ?stop_after ~name ~streams ~raising () =
     {
-      Explore.name = "squeue-2p1c-conservation";
+      Explore.name;
       init =
         (fun () ->
-          let q : int Q.t = Q.create ~capacity:1 in
-          let popped = ref [] in
-          let producer xs () = List.iter (fun x -> Q.push q x) xs in
-          let consumer n () =
-            for _ = 1 to n do
-              match Q.pop q with
-              | Some x -> popped := x :: !popped
-              | None -> require false "pop returned None on an open queue"
-            done
+          let t = M.create ~streams ~capacity ~jobs in
+          (* Plain OCaml state: observations, not scheduling points. *)
+          let checks = Array.make streams 0 in
+          let emitted = ref [] in
+          let admitted = ref 0 and started = ref 0 in
+          let check i =
+            incr started;
+            checks.(i) <- checks.(i) + 1;
+            require (checks.(i) = 1) (Printf.sprintf "stream %d checked twice" i);
+            if i = raising then raise Stream_raised;
+            i
           in
-          let check () =
-            let got = List.rev !popped in
+          (* The monitor catches what [check] raises; a failed [require]
+             must still reach the explorer. *)
+          let recover i = function
+            | Stream_raised -> -i
+            | e -> raise e
+          in
+          let admit i =
+            require (i = !admitted) "admitted out of order";
+            incr admitted;
             require
-              (List.sort compare got = [ 1; 2; 101 ])
-              (Printf.sprintf "conservation broken: consumed [%s]" (ints got));
-            let pos x =
-              let rec go i = function
-                | [] -> max_int
-                | y :: _ when y = x -> i
-                | _ :: tl -> go (i + 1) tl
-              in
-              go 0 got
-            in
-            require (pos 1 < pos 2)
-              (Printf.sprintf "per-producer FIFO broken: consumed [%s]"
-                 (ints got))
+              (!admitted - List.length !emitted <= capacity + jobs)
+              (Printf.sprintf "stream %d admitted past the resident bound" i);
+            require
+              (!admitted - !started <= capacity)
+              (Printf.sprintf "stream %d admitted past the queue capacity" i)
           in
-          ([ producer [ 1; 2 ]; producer [ 101 ]; consumer 3 ], check));
+          let emit i r =
+            emitted := (i, r) :: !emitted;
+            match stop_after with
+            | Some k when List.length !emitted = k -> raise Exit
+            | _ -> ()
+          in
+          let main () =
+            (match M.merge t ~admit ~emit with
+            | max_resident ->
+              require
+                (max_resident <= capacity + jobs)
+                "max_resident past the bound"
+            | exception Exit -> ());
+            M.shut t
+          in
+          let worker () = M.worker t ~check ~recover in
+          let final () =
+            let got = List.rev !emitted in
+            let expect =
+              List.init
+                (Option.value stop_after ~default:streams)
+                (fun i -> (i, if i = raising then -i else i))
+            in
+            require (got = expect)
+              (Printf.sprintf "emitted [%s], results [%s]"
+                 (ints (List.map fst got))
+                 (ints (List.map snd got)));
+            Array.iteri
+              (fun i c ->
+                require
+                  (c <= 1 && (c = 1 || stop_after <> None))
+                  (Printf.sprintf "stream %d checked %d times" i c))
+              checks
+          in
+          (main :: List.init jobs (fun _ -> worker), final));
     }
 
-  (* One producer, two consumers, capacity 1: conservation, and within
-     each consumer the producer's elements arrive in push order. *)
-  let spmc_fifo =
-    {
-      Explore.name = "squeue-1p2c-fifo";
-      init =
-        (fun () ->
-          let q : int Q.t = Q.create ~capacity:1 in
-          let taken = [| []; [] |] in
-          let producer () = List.iter (fun x -> Q.push q x) [ 1; 2; 3 ] in
-          let consumer slot n () =
-            for _ = 1 to n do
-              match Q.pop q with
-              | Some x -> taken.(slot) <- x :: taken.(slot)
-              | None -> require false "pop returned None on an open queue"
-            done
-          in
-          let check () =
-            let c0 = List.rev taken.(0) and c1 = List.rev taken.(1) in
-            require
-              (List.sort compare (c0 @ c1) = [ 1; 2; 3 ])
-              (Printf.sprintf "conservation broken: [%s] and [%s]" (ints c0)
-                 (ints c1));
-            let increasing l =
-              let rec go = function
-                | a :: (b :: _ as tl) -> a < b && go tl
-                | _ -> true
-              in
-              go l
-            in
-            require
-              (increasing c0 && increasing c1)
-              (Printf.sprintf "FIFO broken within a consumer: [%s] / [%s]"
-                 (ints c0) (ints c1))
-          in
-          ([ producer; consumer 0 2; consumer 1 1 ], check));
-    }
+  (* In-order emission, every stream checked exactly once, the resident
+     and queue bounds, no deadlock; the raising stream's result is its
+     recovered one. *)
+  let two = pool ~name:"pool-2-streams" ~streams:2 ~raising:1 ()
+  let three = pool ~name:"pool-3-streams" ~streams:3 ~raising:1 ()
 
-  (* Close-and-drain: the producer closes after its push; both consumers
-     loop until [None] and must between them drain the element exactly
-     once — and must terminate (a consumer parked on the empty queue has
-     to be woken by close). One element keeps two draining consumers at
-     an exhaustively explorable bound; the two-element drain is covered
-     (at one consumer) by the stress tests in test_squeue.ml. *)
-  let close_drain =
-    {
-      Explore.name = "squeue-close-drain";
-      init =
-        (fun () ->
-          let q : int Q.t = Q.create ~capacity:2 in
-          let taken = [| []; [] |] in
-          let producer () =
-            Q.push q 1;
-            Q.close q
-          in
-          let consumer slot () =
-            let rec loop () =
-              match Q.pop q with
-              | Some x ->
-                taken.(slot) <- x :: taken.(slot);
-                loop ()
-              | None -> ()
-            in
-            loop ()
-          in
-          let check () =
-            let all = List.sort compare (taken.(0) @ taken.(1)) in
-            require
-              (all = [ 1 ])
-              (Printf.sprintf "close-and-drain lost or duplicated: [%s]"
-                 (ints all))
-          in
-          ([ producer; consumer 0; consumer 1 ], check));
-    }
+  (* One worker, so four streams overrun the resident window
+     ([capacity + jobs] = 2) unless admission waits for emission. *)
+  let one_worker =
+    pool ~jobs:1 ~name:"pool-1-worker" ~streams:4 ~raising:1 ()
 
-  (* The spin-then-park protocol, both sides: capacity 1 (2 slots) and
-     three pushes force the producer through full-queue parking in some
-     schedules; the consumer parks on empty in others. No lost wakeup
-     may deadlock either side, and SPSC order must be exact. *)
-  let park_wakeup =
-    {
-      Explore.name = "squeue-park-wakeup";
-      init =
-        (fun () ->
-          let q : int Q.t = Q.create ~capacity:1 in
-          let popped = ref [] in
-          let producer () = List.iter (fun x -> Q.push q x) [ 1; 2; 3 ] in
-          let consumer () =
-            for _ = 1 to 3 do
-              match Q.pop q with
-              | Some x -> popped := x :: !popped
-              | None -> require false "pop returned None on an open queue"
-            done
-          in
-          let check () =
-            require
-              (List.rev !popped = [ 1; 2; 3 ])
-              (Printf.sprintf "SPSC order broken: [%s]" (ints (List.rev !popped)))
-          in
-          ([ producer; consumer ], check));
-    }
+  (* Main's [emit] raises after the first result: shutting the pool
+     must still let both workers return. *)
+  let shut_early =
+    pool ~name:"pool-shut-early" ~streams:3 ~raising:1 ~stop_after:1 ()
 
-  (* The non-blocking fast paths racing each other: try_push into a
-     full ring and try_pop from an empty one must fail cleanly, and
-     whatever was accepted must come out exactly once, in order. *)
-  let try_races =
-    {
-      Explore.name = "squeue-try-races";
-      init =
-        (fun () ->
-          let q : int Q.t = Q.create ~capacity:1 in
-          let accepted = ref [] in
-          let popped = ref [] in
-          let producer () =
-            List.iter
-              (fun x -> if Q.try_push q x then accepted := x :: !accepted)
-              [ 1; 2; 3 ]
-          in
-          let consumer () =
-            for _ = 1 to 3 do
-              match Q.try_pop q with
-              | Some x -> popped := x :: !popped
-              | None -> ()
-            done
-          in
-          let check () =
-            let rec drain acc =
-              match Q.try_pop q with
-              | Some x -> drain (x :: acc)
-              | None -> List.rev acc
-            in
-            let rest = drain [] in
-            let acc = List.rev !accepted and out = List.rev !popped in
-            require
-              (List.sort compare acc = List.sort compare (out @ rest))
-              (Printf.sprintf
-                 "try conservation broken: accepted [%s], popped [%s], left \
-                  [%s]"
-                 (ints acc) (ints out) (ints rest));
-            let rec increasing = function
-              | a :: (b :: _ as tl) -> a < b && increasing tl
-              | _ -> true
-            in
-            require
-              (increasing (out @ rest))
-              (Printf.sprintf "try FIFO broken: popped [%s], left [%s]"
-                 (ints out) (ints rest))
-          in
-          ([ producer; consumer ], check));
-    }
-
-  let all =
-    [ mpsc_conservation; spmc_fifo; close_drain; park_wakeup; try_races ]
+  let all = [ two; three; one_worker; shut_early ]
 end
 
-module Healthy_queue = Squeue.Make (Model_prims)
-module Healthy = Scenarios (Healthy_queue)
+module Shim_prims = struct
+  module Mutex = Shim.Mutex
+  module Condition = Shim.Condition
+  module Plain = Shim.Plain
+end
 
-(* Seeded bug 1: payload published before the ticket CAS establishes
-   slot ownership — racing producers overwrite each other. The 2p1c
-   conservation scenario must flag it. *)
-module Overwrite_queue =
-  Squeue.Make_mutant
-    (struct
-      let publish_before_ticket_cas = true
-      let skip_park_recheck = false
-    end)
-    (Model_prims)
+module Healthy = Scenarios (Shim_prims)
 
-module Overwrite = Scenarios (Overwrite_queue)
+(* Mutant 1: [broadcast] wakes nobody, so the first wait is forever —
+   a deadlock. *)
+module Mute = Scenarios (struct
+  module Mutex = Shim.Mutex
+  module Plain = Shim.Plain
 
-(* Seeded bug 2: the waiter-count recheck between registering and
-   sleeping is skipped — the classic lost wakeup. The park scenario must
-   deadlock under some schedule. *)
-module Lost_wakeup_queue =
-  Squeue.Make_mutant
-    (struct
-      let publish_before_ticket_cas = false
-      let skip_park_recheck = true
-    end)
-    (Model_prims)
+  module Condition = struct
+    include Shim.Condition
 
-module Lost_wakeup = Scenarios (Lost_wakeup_queue)
+    let broadcast _ = ()
+  end
+end)
 
-let healthy = List.map (fun s -> s.Explore.name, s) Healthy.all
+(* Mutant 2: [lock] and [unlock] do nothing, so a predicate read and
+   the wait after it are no longer atomic (a lost wakeup), and two
+   workers can read the same take counter (a stream checked twice).
+   Shim's [wait] releases and retakes its mutex, so it is bracketed by
+   the real operations to still park until the next broadcast. *)
+module Unlocked = Scenarios (struct
+  module Plain = Shim.Plain
+
+  module Mutex = struct
+    include Shim.Mutex
+
+    let lock _ = ()
+    let unlock _ = ()
+  end
+
+  module Condition = struct
+    include Shim.Condition
+
+    let wait c m =
+      Shim.Mutex.lock m;
+      Shim.Condition.wait c m;
+      Shim.Mutex.unlock m
+  end
+end)
+
+let healthy = List.map (fun s -> (s.Explore.name, s)) Healthy.all
 
 let mutants =
   [
-    ("mutant-publish-before-ticket-cas", Overwrite.mpsc_conservation);
-    ("mutant-skip-park-recheck", Lost_wakeup.park_wakeup);
+    ("mutant-broadcast-no-op", Mute.three);
+    ("mutant-mutex-no-op", Unlocked.three);
   ]
+
+(* A schedule of [Unlocked.three] that checks stream 0 twice: main runs
+   until it waits (7 steps), the first worker reads the take counter,
+   then the second worker takes the same stream; the default schedule
+   does the rest. *)
+let checked_twice = [ 0; 0; 0; 0; 0; 0; 0; 1; 1; 2 ]

@@ -13,7 +13,6 @@ let () =
       Test_statics.suite;
       Test_predict.suite;
       Test_backends.suite;
-      Test_squeue.suite;
       Test_serve.suite;
       Test_modelcheck.suite;
       Regressions.suite;

@@ -1,12 +1,12 @@
-(* The model checker checking itself — and the queue.
+(* The model checker checking itself — and the serve pool.
 
    Fast subset of the model-checking gate, suitable for every `dune
    runtest`: explorer sanity on micro-scenarios (a seeded data race must
    be flagged, its fixed variants verified, DPOR must agree with the
-   unreduced full search), the cheaper squeue scenarios pinned to their
-   exact deterministic interleaving counts, and the two seeded queue
-   mutants each producing a replayable counterexample. The two larger
-   scenarios (2p1c, 1p2c: ~90k/135k interleavings) run in CI via
+   unreduced full search), the cheaper pool scenarios pinned to their
+   exact deterministic interleaving counts, and the two pool mutants
+   each producing a replayable counterexample. The three-stream
+   scenario (about 40k interleavings, several seconds) runs in CI via
    test/mc_run.exe rather than here. *)
 
 module Explore = Velodrome_modelcheck.Explore
@@ -21,10 +21,10 @@ let racy_counter =
     Explore.name = "racy-counter";
     init =
       (fun () ->
-        let c = Shim.Atomic.make 0 in
-        let bump () = Shim.Atomic.set c (Shim.Atomic.get c + 1) in
+        let c = Shim.Plain.make 0 in
+        let bump () = Shim.Plain.set c (Shim.Plain.get c + 1) in
         let check () =
-          Explore.require (Shim.Atomic.get c = 2) "lost update"
+          Explore.require (Shim.Plain.get c = 2) "lost update"
         in
         ([ bump; bump ], check));
     }
@@ -35,15 +35,15 @@ let mutex_counter =
     Explore.name = "mutex-counter";
     init =
       (fun () ->
-        let c = Shim.Atomic.make 0 in
+        let c = Shim.Plain.make 0 in
         let m = Shim.Mutex.create () in
         let bump () =
           Shim.Mutex.lock m;
-          Shim.Atomic.set c (Shim.Atomic.get c + 1);
+          Shim.Plain.set c (Shim.Plain.get c + 1);
           Shim.Mutex.unlock m
         in
         let check () =
-          Explore.require (Shim.Atomic.get c = 2) "lost update"
+          Explore.require (Shim.Plain.get c = 2) "lost update"
         in
         ([ bump; bump ], check));
   }
@@ -116,15 +116,15 @@ let test_dpor_agrees_with_full () =
         (schedules dpor <= schedules full))
     [
       ("mutex-counter", mutex_counter);
-      ("squeue-try-races", Mc_scenarios.Healthy.try_races);
+      ("pool-2-streams", Mc_scenarios.Healthy.two);
     ]
 
-(* --- the queue scenarios ------------------------------------------------ *)
+(* --- the pool scenarios ------------------------------------------------- *)
 
 (* Interleaving counts are fully deterministic (ids, search order and
    reduction are all replayable), so pin them: an unexplained change
    means the explored space changed. *)
-let test_squeue_scenarios_verified () =
+let test_pool_scenarios_verified () =
   List.iter
     (fun (name, sc, expect) ->
       match Explore.explore sc with
@@ -132,9 +132,9 @@ let test_squeue_scenarios_verified () =
         Alcotest.(check int) (name ^ " interleavings") expect schedules
       | o -> Alcotest.failf "%s: %a" name Explore.pp_outcome o)
     [
-      ("squeue-close-drain", Mc_scenarios.Healthy.close_drain, 50_552);
-      ("squeue-park-wakeup", Mc_scenarios.Healthy.park_wakeup, 1_500);
-      ("squeue-try-races", Mc_scenarios.Healthy.try_races, 17);
+      ("pool-2-streams", Mc_scenarios.Healthy.two, 2_377);
+      ("pool-1-worker", Mc_scenarios.Healthy.one_worker, 131);
+      ("pool-shut-early", Mc_scenarios.Healthy.shut_early, 5_431);
     ]
 
 (* --- the mutation gate -------------------------------------------------- *)
@@ -160,20 +160,29 @@ let test_mutant_flagged (sc : Explore.scenario) expect_kind () =
       Alcotest.failf "counterexample did not replay: %a" Explore.pp_outcome o)
   | o -> Alcotest.failf "seeded bug not flagged: %a" Explore.pp_outcome o
 
-let test_overwrite_mutant =
-  (* Publishing the payload before the ticket CAS turns the bounded
-     retry into an unbounded spin under contention; the depth budget
-     flags it. *)
-  test_mutant_flagged Mc_scenarios.Overwrite.mpsc_conservation (function
-    | Explore.Livelock _ | Explore.Check_failed _ -> true
-    | _ -> false)
-
-let test_lost_wakeup_mutant =
-  (* Skipping the recheck between registering as a waiter and parking
-     loses the wakeup: both sides end up parked — found as a deadlock. *)
-  test_mutant_flagged Mc_scenarios.Lost_wakeup.park_wakeup (function
+let test_broadcast_mutant =
+  (* A broadcast that wakes nobody: the first wait is forever. *)
+  test_mutant_flagged Mc_scenarios.Mute.three (function
     | Explore.Deadlock _ -> true
     | _ -> false)
+
+let test_mutex_mutant () =
+  (* Lock and unlock that exclude nothing: the search first reaches a
+     lost wakeup — a predicate read, then the broadcast, then the wait
+     — and the same mutant checks a stream twice when the second worker
+     reads the take counter before the first one writes it back. *)
+  test_mutant_flagged Mc_scenarios.Unlocked.three
+    (function
+      | Explore.Deadlock _ | Explore.Check_failed _ -> true
+      | _ -> false)
+    ();
+  match
+    Explore.replay ~max_steps:500 Mc_scenarios.Unlocked.three
+      Mc_scenarios.checked_twice
+  with
+  | Explore.Violation { kind = Explore.Check_failed msg; _ } ->
+    Alcotest.(check string) "double check" "P1: stream 0 checked twice" msg
+  | o -> Alcotest.failf "double check not replayed: %a" Explore.pp_outcome o
 
 let suite =
   ( "modelcheck",
@@ -186,10 +195,9 @@ let suite =
         test_deadlock_found;
       Alcotest.test_case "dpor agrees with full search" `Quick
         test_dpor_agrees_with_full;
-      Alcotest.test_case "squeue scenarios verified (pinned counts)" `Quick
-        test_squeue_scenarios_verified;
-      Alcotest.test_case "mutant: publish before ticket cas" `Quick
-        test_overwrite_mutant;
-      Alcotest.test_case "mutant: skip park recheck" `Quick
-        test_lost_wakeup_mutant;
+      Alcotest.test_case "pool scenarios verified (pinned counts)" `Quick
+        test_pool_scenarios_verified;
+      Alcotest.test_case "mutant: broadcast no-op" `Quick
+        test_broadcast_mutant;
+      Alcotest.test_case "mutant: mutex no-op" `Quick test_mutex_mutant;
     ] )

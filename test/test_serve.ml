@@ -88,10 +88,10 @@ let project (r : Serve.result) =
   | Driver.Failed { events; _ } ->
     Alcotest.failf "%s: unexpected Failed after %d events" r.Serve.path events
 
-let serve_projected ~jobs ?queue_capacity ?format paths =
+let serve_projected ~jobs ?format paths =
   let acc = ref [] in
   let stats =
-    Serve.run ~jobs ?queue_capacity ?format ~backends
+    Serve.run ~jobs ?format ~backends
       ~on_result:(fun r -> acc := project r :: !acc)
       paths
   in
@@ -133,10 +133,10 @@ let test_generated_differential () =
       let paths = List.init 200 (gen_stream dir) in
       ignore (check_differential ~jobs:8 paths);
       let _, one = serve_projected ~jobs:1 paths in
-      let _, three = serve_projected ~jobs:3 ~queue_capacity:2 paths in
+      let _, three = serve_projected ~jobs:3 paths in
       let _, eight = serve_projected ~jobs:8 paths in
       check bool "jobs=1 = jobs=8" true (one = eight);
-      check bool "jobs=3 (tiny queue) = jobs=8" true (three = eight))
+      check bool "jobs=3 = jobs=8" true (three = eight))
 
 (* A truncated stream fails with its partial prefix intact while the
    healthy streams around it are unaffected. *)
@@ -171,6 +171,62 @@ let test_partial_failure () =
             (String.length message > 0)
         | Driver.Checked _ -> Alcotest.fail "truncated stream must fail")
       | rs -> Alcotest.failf "expected 3 results, got %d" (List.length rs))
+
+(* A check that raises fails its own stream only: the worker survives
+   and serves the streams after it. Exceptions from [on_event] already
+   end a stream inside the driver; one from [finish] escapes the whole
+   check. The exploding back-end raises there when the stream had a
+   third thread, which only the middle stream has (generated stream 1
+   runs three threads, stream 0 two). *)
+module Exploding = struct
+  type t = { mutable third : bool }
+
+  let name = "exploding"
+  let create (_ : Names.t) = { third = false }
+
+  let on_event t (ev : Event.t) =
+    if Ids.Tid.to_int (Op.tid ev.Event.op) = 2 then t.third <- true
+
+  let pause_hint _ _ = false
+  let finish t = if t.third then failwith "backend exploded"
+  let warnings _ = []
+end
+
+let test_raising_check () =
+  with_dir "serve-raise" (fun dir ->
+      let good = gen_stream dir 0 and bad = gen_stream dir 1 in
+      let full_events, _ = reference good in
+      let exploding names =
+        Backend.make (module Exploding) names :: backends names
+      in
+      List.iter
+        (fun jobs ->
+          let acc = ref [] in
+          let stats =
+            Serve.run ~jobs ~backends:exploding
+              ~on_result:(fun r -> acc := r :: !acc)
+              [ good; bad; good ]
+          in
+          check int "one failure" 1 stats.Serve.failed;
+          match List.rev !acc with
+          | [ g1; b; g2 ] ->
+            List.iter
+              (fun (g : Serve.result) ->
+                match g.Serve.outcome with
+                | Driver.Checked { events; _ } ->
+                  check int "good streams unaffected" full_events events
+                | Driver.Failed { message; _ } ->
+                  Alcotest.failf "good stream failed: %s" message)
+              [ g1; g2 ];
+            (match b.Serve.outcome with
+            | Driver.Failed { events; message; _ } ->
+              check int "no events credited" 0 events;
+              check Alcotest.string "error_line message"
+                (Driver.error_line bad (Failure "backend exploded"))
+                message
+            | Driver.Checked _ -> Alcotest.fail "raising stream must fail")
+          | rs -> Alcotest.failf "expected 3 results, got %d" (List.length rs))
+        [ 1; 2 ])
 
 let test_expand_targets () =
   with_dir "serve-expand" (fun dir ->
@@ -225,6 +281,8 @@ let suite =
         test_generated_differential;
       Alcotest.test_case "partial failure isolation" `Quick
         test_partial_failure;
+      Alcotest.test_case "raising check fails one stream" `Quick
+        test_raising_check;
       Alcotest.test_case "expand targets" `Quick test_expand_targets;
       Alcotest.test_case "fd baseline after 200 streams" `Quick test_fd_leak;
     ] )

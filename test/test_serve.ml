@@ -3,7 +3,10 @@
    one, in the same order — over the full workload suite and a few
    hundred generated traces — plus the operational properties: failed
    streams keep their partial result, resident streams respect the
-   backpressure bound, and no file descriptors leak. *)
+   backpressure bound, and no file descriptors leak. The pool monitor
+   itself ([Serve.Make] over Stdlib's primitives) is also driven
+   directly with stub streams: order, exactly-once checks, the bounds,
+   recovery and shutdown. *)
 
 open Velodrome_trace
 open Velodrome_analysis
@@ -272,6 +275,196 @@ let test_fd_leak () =
         let after = Option.get (count_fds ()) in
         check int "fds back to baseline" before after)
 
+(* --- the pool monitor on Stdlib's primitives -------------------------------- *)
+
+(* The production instantiation of [Serve.Make], driven with stub
+   streams whose check is a function of the index: the same protocol
+   the model-checked scenarios explore at tiny bounds, here on real
+   domains and at sizes the explorer cannot reach. *)
+module Pool = Serve.Make (struct
+  module Mutex = Mutex
+  module Condition = Condition
+
+  module Plain = struct
+    type 'a t = 'a ref
+
+    let make = ref
+    let get = ( ! )
+    let set = ( := )
+  end
+end)
+
+(* Serve [streams] stub streams on [jobs] worker domains. [check i]
+   runs in a worker; every call is counted, so a stream checked twice
+   or never is seen. [admit] asserts admission order and the resident
+   bound at each admission. Returns the emitted [(i, r)] pairs in emit
+   order, the per-stream check counts and the high-water mark. *)
+let serve_stubs ?(capacity = 1) ?(recover = fun _ e -> raise e) ?emit ~jobs
+    ~streams check =
+  let pool = Pool.create ~streams ~capacity ~jobs in
+  let checks = Array.init streams (fun _ -> Atomic.make 0) in
+  let check i =
+    Atomic.incr checks.(i);
+    check i
+  in
+  (* [admit] runs under the monitor's lock, so it records a violation
+     instead of raising; it is reported once the workers are joined. *)
+  let admitted = ref 0 and emitted = ref [] and n_emitted = ref 0 in
+  let violation = ref None in
+  let admit i =
+    if i <> !admitted && !violation = None then
+      violation := Some (Printf.sprintf "stream %d admitted out of order" i);
+    incr admitted;
+    if !admitted - !n_emitted > max 1 capacity + jobs && !violation = None then
+      violation :=
+        Some (Printf.sprintf "stream %d admitted past the resident bound" i)
+  in
+  let emit i r =
+    emitted := (i, r) :: !emitted;
+    incr n_emitted;
+    Option.iter (fun f -> f i r) emit
+  in
+  let domains =
+    Array.init jobs (fun _ ->
+        Domain.spawn (fun () -> Pool.worker pool ~check ~recover))
+  in
+  let max_resident =
+    Fun.protect
+      ~finally:(fun () ->
+        Pool.shut pool;
+        Array.iter Domain.join domains)
+      (fun () -> Pool.merge pool ~admit ~emit)
+  in
+  Option.iter Alcotest.fail !violation;
+  (List.rev !emitted, Array.map Atomic.get checks, max_resident)
+
+let check_exactly_once checks =
+  Array.iteri
+    (fun i c -> if c <> 1 then Alcotest.failf "stream %d checked %d times" i c)
+    checks
+
+let test_pool_in_order () =
+  List.iter
+    (fun (jobs, capacity) ->
+      let streams = 50 in
+      let got, checks, max_resident =
+        serve_stubs ~jobs ~capacity ~streams (fun i -> i * i)
+      in
+      check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "jobs %d, capacity %d: emitted in index order" jobs
+           capacity)
+        (List.init streams (fun i -> (i, i * i)))
+        got;
+      check_exactly_once checks;
+      check bool "max_resident within capacity + jobs" true
+        (max_resident >= 1 && max_resident <= capacity + jobs))
+    [ (1, 1); (1, 4); (2, 1); (3, 6) ]
+
+(* A capacity below 1 is raised to 1: with one worker at most two
+   streams are ever resident, and the pool still finishes. *)
+let test_pool_capacity_floor () =
+  let got, checks, max_resident =
+    serve_stubs ~jobs:1 ~capacity:0 ~streams:10 Fun.id
+  in
+  check int "all streams emitted" 10 (List.length got);
+  check_exactly_once checks;
+  check bool "resident <= 1 + jobs" true (max_resident <= 2)
+
+let test_pool_no_streams () =
+  let got, _, max_resident =
+    serve_stubs ~jobs:2 ~streams:0 (fun _ -> Alcotest.fail "nothing to check")
+  in
+  check int "nothing emitted" 0 (List.length got);
+  check int "nothing resident" 0 max_resident
+
+(* [shut] before any admission: idle workers waiting for work return. *)
+let test_pool_shut_idle () =
+  let pool = Pool.create ~streams:5 ~capacity:1 ~jobs:2 in
+  let ran = Atomic.make 0 in
+  let worker () =
+    Pool.worker pool
+      ~check:(fun _ -> Atomic.incr ran)
+      ~recover:(fun _ e -> raise e)
+  in
+  let domains = Array.init 2 (fun _ -> Domain.spawn worker) in
+  Pool.shut pool;
+  Array.iter Domain.join domains;
+  check int "no stream checked" 0 (Atomic.get ran)
+
+(* Every other check raises: its [recover] result takes its place, in
+   order, and the workers keep serving the streams after it. *)
+let test_pool_recover () =
+  let streams = 21 in
+  let got, checks, _ =
+    serve_stubs ~jobs:2 ~streams
+      ~recover:(fun i -> function Exit -> -i | e -> raise e)
+      (fun i -> if i mod 2 = 1 then raise Exit else i)
+  in
+  check
+    Alcotest.(list (pair int int))
+    "recovered results in place"
+    (List.init streams (fun i -> (i, if i mod 2 = 1 then -i else i)))
+    got;
+  check_exactly_once checks
+
+(* An exception from [emit] leaves [merge]; shutting the pool then
+   still returns every worker. *)
+let test_pool_emit_raises () =
+  match
+    serve_stubs ~jobs:2 ~streams:30 Fun.id ~emit:(fun i _ ->
+        if i = 4 then raise Exit)
+  with
+  | _ -> Alcotest.fail "emit's exception must leave merge"
+  | exception Exit -> ()
+
+(* Seeded per-stream work lengths on three workers and a capacity of 2,
+   so completion order differs from index order all the time. *)
+let test_pool_stress () =
+  let streams = 2_000 and jobs = 3 and capacity = 2 in
+  let rng = Velodrome_util.Rng.create 2026 in
+  let spins = Array.init streams (fun _ -> Velodrome_util.Rng.int rng 2_000) in
+  let work i =
+    let acc = ref i in
+    for k = 1 to spins.(i) do
+      acc := (!acc * 31) + k
+    done;
+    ignore (Sys.opaque_identity !acc);
+    i
+  in
+  let got, checks, max_resident = serve_stubs ~jobs ~capacity ~streams work in
+  check bool "emitted in index order" true
+    (List.for_all2 (fun (i, r) k -> i = k && r = k) got
+       (List.init streams Fun.id));
+  check_exactly_once checks;
+  check bool "max_resident within capacity + jobs" true
+    (max_resident <= capacity + jobs)
+
+(* [Serve.run]'s end of the contract: an [on_result] exception shuts
+   the pool and propagates, and the stats report the clamped job count
+   with a queue capacity of [2 * jobs]. *)
+let test_run_on_result_raises () =
+  with_dir "serve-stop" (fun dir ->
+      let paths = List.init 6 (gen_stream dir) in
+      let seen = ref 0 in
+      (match
+         Serve.run ~jobs:2 ~backends
+           ~on_result:(fun _ ->
+             incr seen;
+             if !seen = 2 then raise Exit)
+           paths
+       with
+      | _ -> Alcotest.fail "on_result's exception must propagate"
+      | exception Exit -> ());
+      check int "no result after the raising one" 2 !seen;
+      let stats = Serve.run ~jobs:8 ~backends ~on_result:ignore paths in
+      check int "jobs clamped to the streams" 6 stats.Serve.jobs;
+      check int "queue capacity is 2 * jobs" 12 stats.Serve.queue_capacity;
+      let stats = Serve.run ~jobs:4 ~backends ~on_result:ignore [] in
+      check int "no streams" 0 stats.Serve.streams;
+      check int "one job for no streams" 1 stats.Serve.jobs;
+      check int "nothing resident" 0 stats.Serve.max_resident)
+
 let suite =
   ( "serve",
     [
@@ -281,8 +474,22 @@ let suite =
         test_generated_differential;
       Alcotest.test_case "partial failure isolation" `Quick
         test_partial_failure;
-      Alcotest.test_case "raising check fails one stream" `Quick
-        test_raising_check;
       Alcotest.test_case "expand targets" `Quick test_expand_targets;
       Alcotest.test_case "fd baseline after 200 streams" `Quick test_fd_leak;
+      Alcotest.test_case "raising check fails one stream" `Quick
+        test_raising_check;
+      Alcotest.test_case "pool: in-order emission, exactly once" `Quick
+        test_pool_in_order;
+      Alcotest.test_case "pool: capacity below 1 is 1" `Quick
+        test_pool_capacity_floor;
+      Alcotest.test_case "pool: no streams" `Quick test_pool_no_streams;
+      Alcotest.test_case "pool: shut releases idle workers" `Quick
+        test_pool_shut_idle;
+      Alcotest.test_case "pool: recover replaces a raising check" `Quick
+        test_pool_recover;
+      Alcotest.test_case "pool: emit raising, then shut" `Quick
+        test_pool_emit_raises;
+      Alcotest.test_case "pool: multi-domain stress" `Quick test_pool_stress;
+      Alcotest.test_case "run: on_result raising, stats bounds" `Quick
+        test_run_on_result_raises;
     ] )

@@ -645,27 +645,32 @@ let test_engine_allocation_flat () =
 (* --- Slow-path allocation -------------------------------------------------- *)
 
 (* The violation-dense stream shape of the serve benchmark: about 220
-   distinct report keys per 3,000 events, with cycles of a dozen nodes.
-   Each new key builds its error graph as data and a short verdict; the
-   dot and the cycle summary are rendered only where a warning is
-   printed. With the summary rendered eagerly again this reads about
-   3.9 KB per event, and with the dot as well about 14.5 KB. *)
-let test_engine_slow_path_allocation () =
+   distinct report keys per 3,000 events, with cycles of a dozen nodes. *)
+let dense_names () =
   let names = Names.create () in
   for i = 0 to 7 do
     ignore (Names.label names (Printf.sprintf "Synth.block%d" i))
   done;
+  names
+
+let dense_events seed =
   let cfg =
     { Gen.default with threads = 8; vars = 2; locks = 1; labels = 8;
       steps = 3_000; max_depth = 3 }
   in
+  Array.of_list
+    (Event.of_ops
+       (Trace.to_list (Gen.run (Velodrome_util.Rng.create seed) cfg)))
+
+(* Each new key builds its error graph as data and a short verdict; the
+   dot and the cycle summary are rendered only where a warning is
+   printed. With the summary rendered eagerly again this reads about
+   3.9 KB per event, and with the dot as well about 14.5 KB. *)
+let test_engine_slow_path_allocation () =
+  let names = dense_names () in
   List.iter
     (fun seed ->
-      let events =
-        Array.of_list
-          (Event.of_ops
-             (Trace.to_list (Gen.run (Velodrome_util.Rng.create seed) cfg)))
-      in
+      let events = dense_events seed in
       let eng = Engine.create names in
       let bytes =
         allocated_bytes (fun () -> Array.iter (Engine.on_event eng) events)
@@ -677,6 +682,37 @@ let test_engine_slow_path_allocation () =
         (Printf.sprintf "seed %d: %.0f B/event on the slow path" seed per_event)
         true (per_event < 2500.))
     [ 1; 2; 3 ]
+
+(* Every warning's full message and dot on the dense shape, pinned as a
+   digest of their concatenation. A read set visited in another order
+   finds the same cycles through other edges first, so its paths, blamed
+   blocks and the set of distinct report keys all move: a compacting
+   read set changed the summaries of almost every such stream. *)
+let test_engine_warning_pin () =
+  let names = dense_names () in
+  List.iter
+    (fun (seed, count, digest) ->
+      let eng = Engine.create names in
+      Array.iter (Engine.on_event eng) (dense_events seed);
+      let ws = Engine.warnings eng in
+      let text =
+        String.concat "\n"
+          (List.map
+             (fun w ->
+               Velodrome_analysis.Warning.message names w ^ "\n"
+               ^ Option.value ~default:"" (Velodrome_analysis.Warning.dot names w))
+             ws)
+      in
+      check int (Printf.sprintf "seed %d: warnings" seed) count (List.length ws);
+      check Alcotest.string
+        (Printf.sprintf "seed %d: message and dot digest" seed)
+        digest
+        (Digest.to_hex (Digest.string text)))
+    [
+      (1, 249, "c220f7aed101fc5c199ae35c9d434cac");
+      (2, 216, "2c74410282e714f4d60b95b99e3088de");
+      (3, 261, "ccfa078f03b7302f713960ba3b383906");
+    ]
 
 let suite =
   ( "core",
@@ -728,5 +764,7 @@ let suite =
         test_engine_allocation_flat;
       Alcotest.test_case "slow-path allocation" `Quick
         test_engine_slow_path_allocation;
+      Alcotest.test_case "dense warnings pinned" `Quick
+        test_engine_warning_pin;
       Alcotest.test_case "engine stress" `Slow test_engine_stress;
     ] )

@@ -8,9 +8,11 @@ type config = { merge : bool }
 let default_config = { merge = true }
 
 (* The open-block stack lives in a pair of parallel int arrays (label,
-   begin timestamp; index 0 = outermost) so Begin/End never cons. *)
+   begin timestamp; index 0 = outermost) so Begin/End never cons. The
+   current transaction is its node's slot, -1 outside any: an int field
+   is set without an option or the write barrier. *)
 type thread_state = {
-  mutable cur : Pool.node option;
+  mutable cur : int;
   mutable stk_labels : int array;
   mutable stk_ts : int array;
   mutable depth : int;
@@ -19,7 +21,10 @@ type thread_state = {
 
 (* Per-variable last-read steps, keyed by thread id in a small pair of
    parallel arrays (thread counts are tiny; linear search beats hashing
-   and never allocates on lookup). *)
+   and never allocates on lookup). Entries stay in first-touch order for
+   the variable's lifetime: a write adds its edges in this order, and the
+   first edge to close a cycle decides the reported path. A stale step
+   is overwritten with ⊥ in place, never removed. *)
 type var_state = {
   mutable w : Step.t;
   mutable read_tids : int array;
@@ -74,7 +79,7 @@ let create ?(config = default_config) names =
 
 let fresh_thread () =
   {
-    cur = None;
+    cur = -1;
     stk_labels = Array.make 8 (-1);
     stk_ts = Array.make 8 0;
     depth = 0;
@@ -109,15 +114,16 @@ let set_lock_step t m s =
   done;
   Vec.set t.locks k s
 
+let rec find_read vs tid i =
+  if i >= vs.nreads then -1
+  else if Array.unsafe_get vs.read_tids i = tid then i
+  else find_read vs tid (i + 1)
+
 (* Record tid's last read of the variable; replaces in place, growing the
-   arrays only the first time a thread touches the variable. *)
+   arrays only the first time a thread touches the variable. The search
+   is a top-level function, so a call builds no closure. *)
 let set_read vs tid s =
-  let rec find i =
-    if i >= vs.nreads then -1
-    else if Array.unsafe_get vs.read_tids i = tid then i
-    else find (i + 1)
-  in
-  let i = find 0 in
+  let i = find_read vs tid 0 in
   if i >= 0 then Array.unsafe_set vs.read_steps i s
   else begin
     if vs.nreads = Array.length vs.read_tids then begin
@@ -269,11 +275,7 @@ let emit_cycle_warning t st (e : Event.t) (c : Pool.cycle) =
   in
   if not (Hashtbl.mem t.reported key) then begin
   Hashtbl.replace t.reported key ();
-  let blamed_slot =
-    match (blamed, st.cur) with
-    | true, Some n -> Some (Pool.slot n)
-    | _ -> None
-  in
+  let blamed_slot = if blamed && st.cur >= 0 then Some st.cur else None in
   (* The cycle stays data; Warning.message and the CLI's dot export
      render it only for the warnings that get printed. *)
   let cycle = graph_of_cycle c ~closing_op:e.Event.op ~blamed_slot in
@@ -316,11 +318,12 @@ let flush_pending t st (e : Event.t) =
 
 (* --- Edges -------------------------------------------------------------- *)
 
-(* Add an edge from a recorded step to the current transaction's new step;
-   report a cycle if one would form. Stale and ⊥ steps contribute
-   nothing. *)
-let edge_from t st ~src ~dst ~dst_ts (e : Event.t) =
-  if Pool.step_live t.pool src then
+(* Add an edge from a live recorded step to the current transaction's new
+   step; report a cycle if one would form. A step of [dst] itself is a
+   self-edge, which the pool would filter: return before building the
+   edge's diagnostic operation. *)
+let edge_from_live t st ~src ~dst ~dst_ts (e : Event.t) =
+  if Step.slot_unchecked src <> Pool.slot dst then
     match
       Pool.add_edge_op t.pool
         ~src:(Pool.node_of_step t.pool src)
@@ -329,6 +332,10 @@ let edge_from t st ~src ~dst ~dst_ts (e : Event.t) =
     with
     | `Ok | `Self -> ()
     | `Cycle c -> report_cycle t st e c
+
+(* Stale and ⊥ steps contribute nothing. *)
+let edge_from t st ~src ~dst ~dst_ts e =
+  if Pool.step_live t.pool src then edge_from_live t st ~src ~dst ~dst_ts e
 
 (* --- Merge (Figure 4) --------------------------------------------------- *)
 
@@ -425,13 +432,13 @@ let outside_naive t st (e : Event.t) body =
   let ts0 = Pool.fresh_ts n in
   edge_from t st ~src:st.l ~dst:n ~dst_ts:ts0 e;
   st.l <- Pool.step_of n ~ts:ts0;
-  st.cur <- Some n;
+  st.cur <- Pool.slot n;
   st.depth <- 0;
   stack_push st (-1) ts0;
   body n;
   let ts = Pool.fresh_ts n in
   st.l <- Pool.step_of n ~ts;
-  st.cur <- None;
+  st.cur <- -1;
   st.depth <- 0;
   Pool.set_active t.pool n false
 
@@ -451,11 +458,19 @@ let do_read t st n (e : Event.t) x =
   edge_from t st ~src:vs.w ~dst:n ~dst_ts:ts e;
   set_read vs (Tid.to_int (Op.tid e.Event.op)) st.l
 
+(* A read step found stale becomes ⊥ in its entry: it can never be live
+   again (its slot's watermark only rises), and later writes then skip it
+   with one comparison instead of a pool lookup. *)
 let do_write t st n (e : Event.t) x =
   let vs = var_state t x in
   let ts = inside_step st n in
+  let steps = vs.read_steps in
   for i = 0 to vs.nreads - 1 do
-    edge_from t st ~src:(Array.unsafe_get vs.read_steps i) ~dst:n ~dst_ts:ts e
+    let s = Array.unsafe_get steps i in
+    if not (Step.is_bottom s) then
+      if Pool.step_live t.pool s then
+        edge_from_live t st ~src:s ~dst:n ~dst_ts:ts e
+      else Array.unsafe_set steps i Step.bottom
   done;
   edge_from t st ~src:vs.w ~dst:n ~dst_ts:ts e;
   vs.w <- st.l
@@ -463,9 +478,8 @@ let do_write t st n (e : Event.t) x =
 let dispatch t st (e : Event.t) =
   let op = e.Event.op in
   match op with
-  | Op.Begin (tid, l) -> (
-    match st.cur with
-    | None ->
+  | Op.Begin (tid, l) ->
+    if st.cur < 0 then begin
       (* [INS2 ENTER] *)
       let n =
         Pool.alloc t.pool ~tid:(Tid.to_int tid) ~label:(Label.to_int l)
@@ -474,85 +488,78 @@ let dispatch t st (e : Event.t) =
       Pool.set_active t.pool n true;
       let ts = Pool.fresh_ts n in
       edge_from t st ~src:st.l ~dst:n ~dst_ts:ts e;
-      st.cur <- Some n;
+      st.cur <- Pool.slot n;
       st.depth <- 0;
       stack_push st (Label.to_int l) ts;
       st.l <- Pool.step_of n ~ts
-    | Some n ->
+    end
+    else begin
       (* [INS2 RE-ENTER]: same node; the L(t) edge is a self-edge. *)
-      let ts = inside_step st n in
-      stack_push st (Label.to_int l) ts)
-  | Op.End _ -> (
-    match st.cur with
-    | Some n when st.depth > 0 ->
+      let ts = inside_step st (Pool.node_at t.pool st.cur) in
+      stack_push st (Label.to_int l) ts
+    end
+  | Op.End _ ->
+    (* An [End] without [Begin] is ill-formed. The CLI and [serve] never
+       get here — their driver rejects the event first
+       ({!Velodrome_trace.Trace.Checker}) — so only a direct caller
+       feeding an unchecked trace does; ignore it. *)
+    if st.cur >= 0 && st.depth > 0 then begin
+      let n = Pool.node_at t.pool st.cur in
       ignore (inside_step st n);
       st.depth <- st.depth - 1;
       if st.depth = 0 then begin
-        st.cur <- None;
+        st.cur <- -1;
         Pool.set_active t.pool n false
       end
-    | _ ->
-      (* [End] without [Begin]: ill-formed. The CLI and [serve] never
-         get here — their driver rejects the event first
-         ({!Velodrome_trace.Trace.Checker}) — so only a direct caller
-         feeding an unchecked trace does; ignore it. *)
-      ())
-  | Op.Acquire (_, m) -> (
-    match st.cur with
-    | Some n -> do_acquire t st n e m
-    | None ->
-      if t.config.merge then begin
-        (* [INS2 OUTSIDE ACQUIRE] *)
-        merge_reset t;
-        merge_add t st.l;
-        merge_add t (lock_step t m);
-        st.l <- merge_finish t e
-      end
-      else outside_naive t st e (fun n -> do_acquire t st n e m))
-  | Op.Release (_, m) -> (
-    match st.cur with
-    | Some n -> do_release t st n m
-    | None ->
-      if t.config.merge then begin
-        (* [INS2 OUTSIDE RELEASE] *)
-        let s = l_plus_one t st in
-        st.l <- s;
-        set_lock_step t m s
-      end
-      else outside_naive t st e (fun n -> do_release t st n m))
-  | Op.Read (tid, x) -> (
-    match st.cur with
-    | Some n -> do_read t st n e x
-    | None ->
-      if t.config.merge then begin
-        (* [INS2 OUTSIDE READ] *)
-        let vs = var_state t x in
-        merge_reset t;
-        merge_add t st.l;
-        merge_add t vs.w;
-        let s = merge_finish t e in
-        st.l <- s;
-        set_read vs (Tid.to_int tid) s
-      end
-      else outside_naive t st e (fun n -> do_read t st n e x))
-  | Op.Write (_, x) -> (
-    match st.cur with
-    | Some n -> do_write t st n e x
-    | None ->
-      if t.config.merge then begin
-        (* [INS2 OUTSIDE WRITE] *)
-        let vs = var_state t x in
-        merge_reset t;
-        merge_add t st.l;
-        merge_add t vs.w;
-        for i = 0 to vs.nreads - 1 do
-          merge_add t (Array.unsafe_get vs.read_steps i)
-        done;
-        let s = merge_finish t e in
-        st.l <- s;
-        vs.w <- s
-      end
-      else outside_naive t st e (fun n -> do_write t st n e x))
+    end
+  | Op.Acquire (_, m) ->
+    if st.cur >= 0 then do_acquire t st (Pool.node_at t.pool st.cur) e m
+    else if t.config.merge then begin
+      (* [INS2 OUTSIDE ACQUIRE] *)
+      merge_reset t;
+      merge_add t st.l;
+      merge_add t (lock_step t m);
+      st.l <- merge_finish t e
+    end
+    else outside_naive t st e (fun n -> do_acquire t st n e m)
+  | Op.Release (_, m) ->
+    if st.cur >= 0 then do_release t st (Pool.node_at t.pool st.cur) m
+    else if t.config.merge then begin
+      (* [INS2 OUTSIDE RELEASE] *)
+      let s = l_plus_one t st in
+      st.l <- s;
+      set_lock_step t m s
+    end
+    else outside_naive t st e (fun n -> do_release t st n m)
+  | Op.Read (tid, x) ->
+    if st.cur >= 0 then do_read t st (Pool.node_at t.pool st.cur) e x
+    else if t.config.merge then begin
+      (* [INS2 OUTSIDE READ] *)
+      let vs = var_state t x in
+      merge_reset t;
+      merge_add t st.l;
+      merge_add t vs.w;
+      let s = merge_finish t e in
+      st.l <- s;
+      set_read vs (Tid.to_int tid) s
+    end
+    else outside_naive t st e (fun n -> do_read t st n e x)
+  | Op.Write (_, x) ->
+    if st.cur >= 0 then do_write t st (Pool.node_at t.pool st.cur) e x
+    else if t.config.merge then begin
+      (* [INS2 OUTSIDE WRITE] *)
+      let vs = var_state t x in
+      merge_reset t;
+      merge_add t st.l;
+      merge_add t vs.w;
+      for i = 0 to vs.nreads - 1 do
+        merge_add t (Array.unsafe_get vs.read_steps i)
+      done;
+      let s = merge_finish t e in
+      st.l <- s;
+      vs.w <- s
+    end
+    else outside_naive t st e (fun n -> do_write t st n e x)
 
 let on_event t (e : Event.t) =
   let st = thread t (Op.tid e.Event.op) in

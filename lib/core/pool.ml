@@ -33,9 +33,14 @@ type cycle = {
   closing_head_ts : int;
 }
 
+exception Slots_exhausted
+
 type t = {
   slots : node Vec.t;  (** every slot record ever created; index = slot *)
-  free : int Vec.t;  (** recycled slots; a [Vec] so push/pop never cons *)
+  mutable free : int array;
+      (** recycled slots, a stack of ints: push and pop neither cons nor
+          go through the write barrier *)
+  mutable nfree : int;
   mutable live_count : int;
   counter : Stats.counter;
   mutable clear_work : int;
@@ -47,7 +52,8 @@ type t = {
 let create () =
   {
     slots = Vec.create ();
-    free = Vec.create ();
+    free = Array.make 16 0;
+    nfree = 0;
     live_count = 0;
     counter = Stats.counter ();
     clear_work = 0;
@@ -63,11 +69,9 @@ let diag_event n = n.d_event
 
 let alloc t ~tid ~label ~event =
   let n =
-    let nfree = Vec.length t.free in
-    if nfree > 0 then begin
-      let s = Vec.unsafe_get t.free (nfree - 1) in
-      Vec.drop_last t.free;
-      let n = Vec.unsafe_get t.slots s in
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      let n = Vec.unsafe_get t.slots (Array.unsafe_get t.free t.nfree) in
       n.live <- true;
       n.active <- false;
       n.refcount <- 0;
@@ -75,8 +79,7 @@ let alloc t ~tid ~label ~event =
     end
     else begin
       let s = Vec.length t.slots in
-      if s >= Step.max_slots then
-        failwith "Pool.alloc: live node count exceeds slot space";
+      if s >= Step.max_slots then raise Slots_exhausted;
       let n =
         {
           slot = s;
@@ -121,6 +124,7 @@ let step_live t s =
   n.live && Step.ts_unchecked s > n.collected_upto
 
 let node_of_step t s = Vec.unsafe_get t.slots (Step.slot_unchecked s)
+let node_at t slot = Vec.unsafe_get t.slots slot
 
 let resolve t s = if step_live t s then Some (node_of_step t s) else None
 
@@ -153,7 +157,13 @@ let rec collect t n =
   done;
   Bitset.reset n.descendants;
   Bitset.reset n.ancestors;
-  Vec.push t.free n.slot;
+  if t.nfree = Array.length t.free then begin
+    let free = Array.make (2 * t.nfree) 0 in
+    Array.blit t.free 0 free 0 t.nfree;
+    t.free <- free
+  end;
+  Array.unsafe_set t.free t.nfree n.slot;
+  t.nfree <- t.nfree + 1;
   (* This node can never again be the target of an edge, so its outgoing
      edges cannot participate in any future cycle; drop them, releasing
      references and possibly cascading. *)

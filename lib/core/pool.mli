@@ -32,6 +32,10 @@ open Velodrome_trace
 type t
 type node
 
+exception Slots_exhausted
+(** Raised by {!alloc} when {!Step.max_slots} nodes are alive at once:
+    a packed step has no room for another slot. *)
+
 type edge = {
   dst_slot : int;  (** slot of the edge's destination node *)
   mutable tail_ts : int;
@@ -51,7 +55,8 @@ val create : unit -> t
 
 val alloc : t -> tid:int -> label:int -> event:int -> node
 (** A fresh (or recycled) live, inactive node with no edges. [label] is
-    [-1] for unary/merged transactions; [tid]/[event] are diagnostic. *)
+    [-1] for unary/merged transactions; [tid]/[event] are diagnostic.
+    Raises {!Slots_exhausted} when every slot holds a live node. *)
 
 val set_active : t -> node -> bool -> unit
 (** Mark the node as some thread's current transaction. Deactivating may
@@ -79,6 +84,10 @@ val step_live : t -> Step.t -> bool
 val node_of_step : t -> Step.t -> node
 (** The node a step belongs to. Only meaningful after {!step_live}
     returned [true] with no pool mutation in between. *)
+
+val node_at : t -> int -> node
+(** The node at a slot, unchecked: the caller must hold the slot of a
+    node it knows is live (the engine's current transaction). *)
 
 val slot : node -> int
 

@@ -102,6 +102,11 @@ let error_line path = function
     Printf.sprintf "%s:%d: %s" path line msg
   | Trace.Ill_formed v ->
     Format.asprintf "%s: ill-formed trace: %a" path Trace.pp_violation v
+  | Velodrome_core.Pool.Slots_exhausted ->
+    Printf.sprintf
+      "%s: engine limit: more than %d transaction nodes alive at once (the \
+       slot space of a packed step)"
+      path Velodrome_core.Step.max_slots
   | Sys_error msg when String.starts_with ~prefix:(path ^ ":") msg -> msg
   | Sys_error msg -> Printf.sprintf "%s: %s" path msg
   | e -> Printf.sprintf "%s: %s" path (Printexc.to_string e)

@@ -86,7 +86,9 @@ val warning_count : rendered -> int
 val error_line : string -> exn -> string
 (** [error_line path e] is the one-line diagnostic for a failure [e]
     while reading the trace file [path]: [PATH: corrupt binary trace: …],
-    [PATH:LINE: …], [PATH: ill-formed trace: op N …], or the I/O error. *)
+    [PATH:LINE: …], [PATH: ill-formed trace: op N …], [PATH: engine
+    limit: …] (more live transaction nodes than the engine has slots),
+    or the I/O error. *)
 
 val check_file :
   ?progress:(stats -> unit) ->

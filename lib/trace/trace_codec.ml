@@ -141,7 +141,7 @@ let[@inline never] input_byte_slow s =
   s.pos <- 1;
   Char.code (Bytes.unsafe_get s.buf 0)
 
-let input_byte' s =
+let[@inline] input_byte' s =
   let pos = s.pos in
   if pos < s.lim then begin
     s.pos <- pos + 1;
@@ -171,22 +171,25 @@ let input_string s n =
     go n
   end
 
-let input_varint s =
-  let b = input_byte' s in
-  if b < 0x80 then b
-  else begin
-    let acc = ref (b land 0x7f) and shift = ref 7 and more = ref true in
-    while !more do
-      if !shift > Sys.int_size - 7 then corrupt_at s "varint too large";
-      let b = input_byte' s in
-      acc := !acc lor ((b land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      more := b land 0x80 <> 0
-    done;
-    !acc
-  end
+(* The continuation bytes of a varint whose first byte was [b]. *)
+let[@inline never] input_varint_slow s b =
+  let acc = ref (b land 0x7f) and shift = ref 7 and more = ref true in
+  while !more do
+    if !shift > Sys.int_size - 7 then corrupt_at s "varint too large";
+    let b = input_byte' s in
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  !acc
 
-let input_zigzag s = unzigzag (input_varint s)
+(* Nearly every tag and operand delta is one byte: that case is inlined
+   into [input_op], with no call unless the buffer needs a refill. *)
+let[@inline] input_varint s =
+  let b = input_byte' s in
+  if b < 0x80 then b else input_varint_slow s b
+
+let[@inline] input_zigzag s = unzigzag (input_varint s)
 
 let input_name s =
   let len = input_varint s in
@@ -291,9 +294,12 @@ let check_end r =
     corrupt_at s "trailing garbage after end marker"
   end
 
+let consume r fn =
+  if r.consumed then invalid_arg ("Trace_codec." ^ fn ^ ": reader already used");
+  r.consumed <- true
+
 let fold_events r ~init ~f =
-  if r.consumed then invalid_arg "Trace_codec.fold_events: reader already used";
-  r.consumed <- true;
+  consume r "fold_events";
   let acc = ref init in
   for index = 0 to r.length - 1 do
     acc := f !acc (Event.make ~index (input_op r))
@@ -301,7 +307,14 @@ let fold_events r ~init ~f =
   check_end r;
   !acc
 
-let iter_events r f = fold_events r ~init:() ~f:(fun () e -> f e)
+(* Its own loop rather than [fold_events] with an adapter, which would
+   be one more closure call per event. *)
+let iter_events r f =
+  consume r "iter_events";
+  for index = 0 to r.length - 1 do
+    f (Event.make ~index (input_op r))
+  done;
+  check_end r
 
 let of_channel ic =
   let r = reader_of_channel ic in

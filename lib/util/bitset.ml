@@ -39,7 +39,13 @@ let clear_bit t i =
   if w < Array.length t.words then
     t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
 
-let reset t = Array.fill t.words 0 (Array.length t.words) 0
+(* A loop rather than [Array.fill], which is a C call: the pool resets two
+   sets, of a word or two each, per collected node. *)
+let reset t =
+  let w = t.words in
+  for i = 0 to Array.length w - 1 do
+    Array.unsafe_set w i 0
+  done
 
 let is_empty t =
   let rec go i = i >= Array.length t.words || (t.words.(i) = 0 && go (i + 1)) in

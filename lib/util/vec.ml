@@ -38,8 +38,6 @@ let pop t =
     Some t.data.(t.len)
   end
 
-let drop_last t = if t.len > 0 then t.len <- t.len - 1
-
 let clear t = t.len <- 0
 
 let iter f t =

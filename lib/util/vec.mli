@@ -31,10 +31,6 @@ val last : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Removes and returns the last element. *)
 
-val drop_last : 'a t -> unit
-(** Remove the last element without returning it (no option allocation);
-    no-op when empty. *)
-
 val clear : 'a t -> unit
 (** Logical reset; capacity is retained. Elements are not overwritten, so
     values remain reachable until overwritten — do not rely on [clear] for

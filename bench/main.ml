@@ -4,7 +4,7 @@
    - [--engine]: BENCH_engine.json, the three-way engine comparison
      (Engine, AeroDrome, basic Figure 2) in events/sec and bytes/event;
    - [--statics]: BENCH_statics.json, what the static pre-pass proves and
-     how many dynamic events it saves;
+     how long it takes;
    - [--predict]: BENCH_predict.json, witness-guided prediction against
      adversarial scheduling;
    - [--serve]: BENCH_serve.json, the serve pool's 1-to-8 domain sweep.
@@ -216,44 +216,13 @@ let run_engine_benches ~smoke =
         (Velodrome_util.Json.List (List.map engine_row_json rows)));
   Printf.printf "wrote BENCH_engine.json (%d fixtures)\n" (List.length rows)
 
-(* --- Static instrumentation pruning (BENCH_statics.json) --------------------- *)
+(* --- Static verdicts (BENCH_statics.json) ------------------------------------ *)
 
-(* How much dynamic work does the static pre-pass save? For each fixture:
-   run the static analysis, count the events a back-end sees with and
-   without the static_atomic filter, time the Velodrome engine both ways,
-   and check the warning sets outside proved blocks are identical (the
-   soundness differential's claim, measured here on the bench fixtures
-   too). *)
+(* What does the static pre-pass prove on each fixture, and what does it
+   cost? Every column but the two timings is a count that CI reproduces
+   with [validate_bench --same-counts]. *)
 
 module Statics = Velodrome_statics.Statics
-
-let counter_backend count names =
-  let module C = struct
-    type t = unit
-
-    let name = "count"
-    let create _ = ()
-    let on_event () _ = incr count
-    let pause_hint _ _ = false
-    let finish () = ()
-    let warnings () = []
-  end in
-  Backend.make (module C) names
-
-(* Warnings projected to comparable keys, excluding proved-label ones —
-   the same projection the test suite uses. *)
-let projected st names warnings =
-  Warning.dedup_by_label warnings
-  |> List.filter_map (fun (w : Warning.t) ->
-         match w.Warning.label with
-         | Some l when Statics.proved st l -> None
-         | label ->
-           Some
-             ( Warning.kind_to_string w.Warning.kind,
-               Option.map (Names.label_name names) label,
-               Option.map (Names.var_name names) w.Warning.var,
-               w.Warning.blamed ))
-  |> List.sort compare
 
 type statics_row = {
   s_fixture : string;
@@ -274,25 +243,11 @@ type statics_row = {
       (** wall time of one full static analysis, monotonic clock *)
   values_analysis_ms : float;
       (** wall time of the value analysis alone, monotonic clock *)
-  events_total : int;
-  events_suppressed : int;
-  events_suppressed_lipton : int;
-      (** with the proved set restricted to Lipton-proved blocks — the
-          delta against [events_suppressed] is what cycle-freedom buys *)
-  suppressed_pct : float;
-  suppressed_pct_lipton : float;
-  unfiltered_sec : float;
-  filtered_sec : float;
-  events_per_sec : float;
-      (** filtered-engine throughput *)
-  speedup : float;
-  warnings_identical : bool;
 }
 
 let statics_bench ~repeats ~size ~size_name fixture =
   let w = Option.get (Workload.find fixture) in
   let program = w.Workload.build size in
-  let names = program.Velodrome_sim.Ast.names in
   let st = Statics.analyze program in
   let st_novalues = Statics.analyze ~values:false program in
   let analysis_ms =
@@ -302,47 +257,6 @@ let statics_bench ~repeats ~size ~size_name fixture =
     1000.
     *. time_best ~repeats (fun () ->
            ignore (Velodrome_statics.Values.analyze program))
-  in
-  let filter_of ?lipton_only st b =
-    let proved, suppress_var = Statics.filter_predicates ?lipton_only st in
-    Filters.static_atomic ~proved ~suppress_var b
-  in
-  let static_filter = filter_of st in
-  let config =
-    {
-      Velodrome_sim.Run.default_config with
-      policy = Velodrome_sim.Run.Random 42;
-    }
-  in
-  let count_with wrap =
-    let c = ref 0 in
-    ignore
-      (Velodrome_sim.Run.run ~config program [ wrap (counter_backend c names) ]);
-    !c
-  in
-  let events_total = count_with Fun.id in
-  let events_filtered = count_with static_filter in
-  let events_filtered_lipton = count_with (filter_of ~lipton_only:true st) in
-  let velodrome_run wrap =
-    (Velodrome_sim.Run.run ~config program
-       [ wrap (Backend.make (Velodrome_core.Engine.backend ()) names) ])
-      .Velodrome_sim.Run.warnings
-  in
-  let unfiltered_sec =
-    time_best ~repeats (fun () -> ignore (velodrome_run Fun.id))
-  in
-  let filtered_sec =
-    time_best ~repeats (fun () -> ignore (velodrome_run static_filter))
-  in
-  let warnings_identical =
-    projected st names (velodrome_run Fun.id)
-    = projected st names (velodrome_run static_filter)
-  in
-  let suppressed = events_total - events_filtered in
-  let suppressed_lipton = events_total - events_filtered_lipton in
-  let pct n =
-    if events_total = 0 then 0.
-    else 100. *. float_of_int n /. float_of_int events_total
   in
   {
     s_fixture = fixture;
@@ -361,18 +275,6 @@ let statics_bench ~repeats ~size ~size_name fixture =
       Statics.proved_count st - Statics.proved_count st_novalues;
     analysis_ms;
     values_analysis_ms;
-    events_total;
-    events_suppressed = suppressed;
-    events_suppressed_lipton = suppressed_lipton;
-    suppressed_pct = pct suppressed;
-    suppressed_pct_lipton = pct suppressed_lipton;
-    unfiltered_sec;
-    filtered_sec;
-    events_per_sec =
-      (if filtered_sec > 0. then float_of_int events_total /. filtered_sec
-       else 0.);
-    speedup = (if filtered_sec > 0. then unfiltered_sec /. filtered_sec else 1.);
-    warnings_identical;
   }
 
 let statics_row_json r =
@@ -393,16 +295,6 @@ let statics_row_json r =
       ("proved_values_delta", Int r.proved_values_delta);
       ("analysis_ms", Float r.analysis_ms);
       ("values_analysis_ms", Float r.values_analysis_ms);
-      ("events_total", Int r.events_total);
-      ("events_suppressed", Int r.events_suppressed);
-      ("events_suppressed_lipton", Int r.events_suppressed_lipton);
-      ("suppressed_pct", Float r.suppressed_pct);
-      ("suppressed_pct_lipton", Float r.suppressed_pct_lipton);
-      ("unfiltered_sec", Float r.unfiltered_sec);
-      ("filtered_sec", Float r.filtered_sec);
-      ("events_per_sec", Float r.events_per_sec);
-      ("speedup", Float r.speedup);
-      ("warnings_identical", Bool r.warnings_identical);
     ]
 
 let run_statics_benches ~smoke =
@@ -419,19 +311,15 @@ let run_statics_benches ~smoke =
         (statics_bench ~repeats:3 ~size:Workload.Medium ~size_name:"medium")
         fixtures
   in
-  Printf.printf
-    "%-12s %-7s %7s %9s %6s %6s %6s %7s %9s %9s %9s %7s %7s %9s %10s\n"
-    "fixture" "size" "blocks" "lip/cf" "proved" "races" "dead" "vals-d"
-    "anls-ms" "vals-ms" "events" "supp-%" "lip-%" "speedup" "warn-same";
+  Printf.printf "%-12s %-7s %7s %9s %6s %6s %6s %7s %9s %9s\n" "fixture"
+    "size" "blocks" "lip/cf" "proved" "races" "dead" "vals-d" "anls-ms"
+    "vals-ms";
   List.iter
     (fun r ->
-      Printf.printf
-        "%-12s %-7s %7d %5d/%3d %6d %6d %6d %3d/%3d %9.2f %9.2f %9d \
-         %6.1f%% %6.1f%% %8.2fx %10b\n"
+      Printf.printf "%-12s %-7s %7d %5d/%3d %6d %6d %6d %3d/%3d %9.2f %9.2f\n"
         r.s_fixture r.s_size r.blocks r.proved_lipton r.proved_cycle_free
         r.proved r.races r.dead_sites r.race_pair_delta r.proved_values_delta
-        r.analysis_ms r.values_analysis_ms r.events_total r.suppressed_pct
-        r.suppressed_pct_lipton r.speedup r.warnings_identical)
+        r.analysis_ms r.values_analysis_ms)
     rows;
   let oc = open_out "BENCH_statics.json" in
   Fun.protect
@@ -782,7 +670,7 @@ let run_serve_benches ~smoke =
 let suites =
   [
     ("--engine", "Engine checking throughput", run_engine_benches);
-    ("--statics", "Static instrumentation pruning", run_statics_benches);
+    ("--statics", "Static verdicts", run_statics_benches);
     ( "--predict",
       "Witness-guided prediction vs adversarial scheduling",
       run_predict_benches );

@@ -47,16 +47,6 @@ let schema = function
       ("proved_values_delta", I);
       ("analysis_ms", N);
       ("values_analysis_ms", N);
-      ("events_total", I);
-      ("events_suppressed", I);
-      ("events_suppressed_lipton", I);
-      ("suppressed_pct", N);
-      ("suppressed_pct_lipton", N);
-      ("unfiltered_sec", N);
-      ("filtered_sec", N);
-      ("events_per_sec", N);
-      ("speedup", N);
-      ("warnings_identical", B);
     ]
   | "serve" ->
     [

@@ -597,8 +597,9 @@ let print_stats (s : Driver.stats) =
 
 (* The one printer of a checked stream, for check-trace and serve alike:
    the operation count and the warnings — for a failed stream those of
-   its valid prefix, when it has one — then a failure's diagnostic on
-   stderr. *)
+   its valid prefix, when it has one, marked partial — then a failure's
+   diagnostic on stderr, which names the cause (truncation, a syntax
+   error, an ill-formed operation or an engine limit). *)
 let print_outcome path outcome =
   let events, warnings, failure =
     match outcome with
@@ -611,7 +612,7 @@ let print_outcome path outcome =
     match warnings with
     | Driver.Lines lines ->
       Printf.printf "%s: %d operations%s\n" path events
-        (if partial then " (partial: stream truncated)" else "");
+        (if partial then " (partial)" else "");
       if lines = [] then print_endline "No warnings."
       else begin
         Printf.printf "%d warning(s):\n" (List.length lines);

@@ -35,43 +35,6 @@ let reentrant_locks inner =
       { Backend.would_forward; observe })
     inner
 
-type region = { mutable nest : int; mutable active : bool }
-
-let static_atomic ~proved ~suppress_var inner =
-  Backend.filter ~suffix:"+static"
-    (fun () ->
-      let regions : (int, region) Hashtbl.t = Hashtbl.create 8 in
-      let region t =
-        match Hashtbl.find_opt regions t with
-        | Some r -> r
-        | None ->
-          let r = { nest = 0; active = false } in
-          Hashtbl.replace regions t r;
-          r
-      in
-      let suppressed_access e =
-        match e.Event.op with
-        | Op.Read (t, x) | Op.Write (t, x) ->
-          (region (Tid.to_int t)).active && suppress_var (Var.to_int x)
-        | _ -> false
-      in
-      let would_forward e = not (suppressed_access e) in
-      let observe e =
-        (match e.Event.op with
-        | Op.Begin (t, l) ->
-          let r = region (Tid.to_int t) in
-          r.nest <- r.nest + 1;
-          if r.nest = 1 && proved (Label.to_int l) then r.active <- true
-        | Op.End t ->
-          let r = region (Tid.to_int t) in
-          if r.nest <= 1 then r.active <- false;
-          r.nest <- max 0 (r.nest - 1)
-        | _ -> ());
-        would_forward e
-      in
-      { Backend.would_forward; observe })
-    inner
-
 type ownership = Owned of int | Shared
 
 let thread_local inner =

@@ -128,28 +128,6 @@ let analyze ?(dead = fun (_ : Cfg.site) -> false) names cfg locksets races =
 let at_site t (site : Cfg.site) =
   Hashtbl.find_opt t.by_site (site.Cfg.thread, site.Cfg.path)
 
-(* The per-variable half of the static filter's condition
-   (Statics.filter_predicates adds that every access lies inside a
-   proved block): every access is either confined to one thread (no
-   cross-thread conflict edges at all), performed under a program-wide
-   common guard, or free of race pairs altogether, in which case every
-   conflicting access pair shares some lock whose acquire/release events
-   (which the filter keeps) already order the accesses against each
-   other exactly as the elided communication edges would. Read-only
-   variables are proof material but deliberately NOT suppressible:
-   lockset back-ends (Eraser's state machine, the Atomizer's embedded
-   oracle) do observe lock-free reads of them, and eliding those would
-   perturb verdicts on unrelated blocks. *)
-let suppressible t x =
-  match IntMap.find_opt (Var.to_int x) t.vars with
-  | None -> false
-  | Some f ->
-    IntSet.cardinal f.threads <= 1
-    || Option.is_some (global_guard f)
-    || f.written
-       && (not (Names.is_volatile t.names x))
-       && not (Races.racy_var t.races x)
-
 let pp_why_both names ppf = function
   | Guarded m ->
     Format.fprintf ppf "guarded by %s at every access"

@@ -16,7 +16,7 @@
 
     Race pairs over-approximate true races ({!Races}), so both-mover
     claims hold on every execution — what {!Reduce}'s [Proved_atomic]
-    verdicts and the [static_atomic] event filter rely on. *)
+    verdicts rely on. *)
 
 open Velodrome_trace
 open Velodrome_trace.Ids
@@ -60,14 +60,6 @@ val at_site : t -> Cfg.site -> klass option
 (** [None] for sites with no observable effect (silent statements). *)
 
 val var_facts : t -> Var.t -> var_facts
-
-val suppressible : t -> Var.t -> bool
-(** True when accesses to the variable may be elided inside proved blocks
-    without changing any back-end's warnings elsewhere: the variable is
-    thread-local, consistently guarded, or written but free of race
-    pairs — every conflicting pair then shares a lock whose
-    kept acquire/release events subsume the elided ordering edges.
-    Read-only is excluded — see the implementation note. *)
 
 val pp_klass : Names.t -> Format.formatter -> klass -> unit
 val pp_why_both : Names.t -> Format.formatter -> why_both -> unit

@@ -128,32 +128,6 @@ let unknown_count t =
 
 let block_count t = List.length t.blocks
 
-(* A variable with a live access outside every outermost proved block is
-   never suppressed: a suppressed access must not end a data edge to an
-   unproved transaction, because after an engine drops a cycle-closing
-   edge a later warning can hinge on exactly such an edge. *)
-let filter_predicates ?(lipton_only = false) t =
-  let ids = if lipton_only then t.lipton_ids else t.proved_ids in
-  let proved_id l = IntSet.mem l ids in
-  let dead =
-    match t.vals with Some v -> Values.dead_site v | None -> fun _ -> false
-  in
-  let exposed = Hashtbl.create 16 in
-  Cfg.iter_nodes
-    (fun n ->
-      match n.Cfg.eff with
-      | (Cfg.Read x | Cfg.Write x) when not (dead n.Cfg.site) -> (
-        match List.rev (Mhp.enclosing_atomics t.mhp n.Cfg.id) with
-        | outermost :: _ when proved_id (Label.to_int outermost) -> ()
-        | _ -> Hashtbl.replace exposed (Var.to_int x) ())
-      | _ -> ())
-    t.cfg;
-  let suppress_var x =
-    (not (Hashtbl.mem exposed x))
-    && Movers.suppressible t.movers (Var.of_int x)
-  in
-  (proved_id, suppress_var)
-
 (* --- rendering ----------------------------------------------------------- *)
 
 let verdict_string = function

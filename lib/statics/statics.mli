@@ -16,15 +16,7 @@
 
     A block proved by neither rule is [May_violate] with a concrete
     static cycle witness, the ranked triage for the dynamic checker;
-    [Unknown] survives only for the graph's budget valve.
-
-    [filter_predicates] feeds the runtime side:
-    {!Velodrome_analysis.Filters.static_atomic} uses the proved-label and
-    suppressible-variable predicates to elide instrumentation inside
-    proved blocks — cycle-free blocks suppress exactly like Lipton ones,
-    since the argument only needs the block serializable, the elided
-    accesses race-free and every access to the variable inside a proved
-    block. *)
+    [Unknown] survives only for the graph's budget valve. *)
 
 open Velodrome_trace.Ids
 
@@ -86,15 +78,6 @@ val proved_cycle_free_count : t -> int
 val may_violate_count : t -> int
 val unknown_count : t -> int
 val block_count : t -> int
-
-val filter_predicates : ?lipton_only:bool -> t -> (int -> bool) * (int -> bool)
-(** [(proved_label_id, suppressible_var_id)] predicates over raw ids, in
-    the form {!Velodrome_analysis.Filters.static_atomic} consumes. A
-    variable is suppressible when {!Movers.suppressible} and every live
-    access to it lies inside an outermost proved block, which is the
-    filter's contract. [lipton_only] restricts the proved set to
-    Lipton-proved blocks, for measuring what the cycle-freedom rule
-    adds. *)
 
 val verdict_string : verdict -> string
 (** ["proved-atomic"], ["may-violate"] or ["unknown"]. *)

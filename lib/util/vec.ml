@@ -26,7 +26,7 @@ let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Vec.set: index out of bounds";
   t.data.(i) <- x
 
-let unsafe_get t i = Array.unsafe_get t.data i
+let[@inline] unsafe_get t i = Array.unsafe_get t.data i
 let unsafe_set t i x = Array.unsafe_set t.data i x
 
 let last t = if t.len = 0 then None else Some t.data.(t.len - 1)

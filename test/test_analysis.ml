@@ -78,66 +78,6 @@ let test_thread_local_nonaccess_passthrough () =
   let seen = probe_through Filters.thread_local ops in
   check int "locks pass through" 2 (List.length seen)
 
-(* --- the static_atomic filter ------------------------------------------------ *)
-
-(* l0 is statically proved, x is the only suppressible variable. *)
-let static_wrap b =
-  Filters.static_atomic
-    ~proved:(fun l -> l = Ids.Label.to_int l0)
-    ~suppress_var:(fun v -> v = Ids.Var.to_int x)
-    b
-
-let test_static_filter_basic () =
-  let ops =
-    [ bg t0 l0; rd t0 x; wr t0 y; acq t0 m; rel t0 m; en t0; rd t0 x ]
-  in
-  let seen = probe_through static_wrap ops in
-  (* Only the suppressible access inside the proved block is dropped:
-     lock operations and transaction markers always pass, the
-     non-suppressible y write passes, and x outside the block passes. *)
-  check bool "suppression window" true
-    (seen = [ bg t0 l0; wr t0 y; acq t0 m; rel t0 m; en t0; rd t0 x ])
-
-let test_static_filter_unproved_outer () =
-  (* l1 is not proved; a proved block nested inside it must NOT start
-     suppression — warnings there are attributed to the outermost label. *)
-  let ops = [ bg t0 l1; bg t0 l0; rd t0 x; en t0; en t0 ] in
-  let seen = probe_through static_wrap ops in
-  check int "nothing dropped under unproved outer" 5 (List.length seen)
-
-let test_static_filter_nested_inner () =
-  (* Proved outer: suppression spans the whole outer region, including a
-     nested (unproved) block, and stops at the outer end. *)
-  let ops =
-    [ bg t0 l0; bg t0 l1; rd t0 x; en t0; rd t0 x; en t0; rd t0 x ]
-  in
-  let seen = probe_through static_wrap ops in
-  check bool "suppression covers nested region" true
-    (seen = [ bg t0 l0; bg t0 l1; en t0; en t0; rd t0 x ])
-
-let test_static_filter_per_thread () =
-  let ops = [ bg t0 l0; rd t1 x; rd t0 x; en t0 ] in
-  let seen = probe_through static_wrap ops in
-  check bool "other thread's accesses unaffected" true
-    (seen = [ bg t0 l0; rd t1 x; en t0 ])
-
-let test_static_reentrant_composition () =
-  (* The two filters commute on streams: a re-entrant acquire inside a
-     proved block is dropped by reentrant_locks, a suppressible access by
-     static_atomic, whichever is applied first. *)
-  let ops =
-    [
-      bg t0 l0; acq t0 m; acq t0 m; rd t0 x; rel t0 m; rel t0 m; en t0;
-      acq t0 m; rel t0 m;
-    ]
-  in
-  let both1 b = Filters.reentrant_locks (static_wrap b) in
-  let both2 b = static_wrap (Filters.reentrant_locks b) in
-  let seen1 = probe_through both1 ops in
-  check bool "composed stream" true
-    (seen1 = [ bg t0 l0; acq t0 m; rel t0 m; en t0; acq t0 m; rel t0 m ]);
-  check bool "composition commutes" true (seen1 = probe_through both2 ops)
-
 (* A back-end that emits one warning per transaction end, so filter
    composition can be checked to preserve warning order and content. *)
 module Warner = struct
@@ -167,7 +107,7 @@ let warnings_through wrap ops =
     (fun (w : Warning.t) -> (w.Warning.index, w.Warning.tid))
     (Backend.run_events [ packed ] (Event.of_ops ops))
 
-let test_static_filter_warning_order () =
+let test_filter_warning_order () =
   let ops =
     [ bg t0 l0; rd t0 x; en t0; bg t1 l1; wr t1 x; en t1; bg t0 l0; en t0 ]
   in
@@ -175,14 +115,18 @@ let test_static_filter_warning_order () =
   check int "three warnings" 3 (List.length plain);
   (* Filters must neither reorder nor re-index the warnings the inner
      back-end produces, in either composition order. *)
-  check bool "static preserves order" true
-    (plain = warnings_through static_wrap ops);
-  check bool "static+reentrant preserves order" true
+  check bool "thread-local preserves order" true
+    (plain = warnings_through Filters.thread_local ops);
+  check bool "thread-local+reentrant preserves order" true
     (plain
-    = warnings_through (fun b -> Filters.reentrant_locks (static_wrap b)) ops);
-  check bool "reentrant+static preserves order" true
+    = warnings_through
+        (fun b -> Filters.reentrant_locks (Filters.thread_local b))
+        ops);
+  check bool "reentrant+thread-local preserves order" true
     (plain
-    = warnings_through (fun b -> static_wrap (Filters.reentrant_locks b)) ops)
+    = warnings_through
+        (fun b -> Filters.thread_local (Filters.reentrant_locks b))
+        ops)
 
 let test_warning_dedup () =
   let mk label index =
@@ -220,17 +164,8 @@ let suite =
       Alcotest.test_case "thread-local filter" `Quick test_thread_local_filter;
       Alcotest.test_case "thread-local passthrough" `Quick
         test_thread_local_nonaccess_passthrough;
-      Alcotest.test_case "static filter basic" `Quick test_static_filter_basic;
-      Alcotest.test_case "static filter unproved outer" `Quick
-        test_static_filter_unproved_outer;
-      Alcotest.test_case "static filter nested inner" `Quick
-        test_static_filter_nested_inner;
-      Alcotest.test_case "static filter per thread" `Quick
-        test_static_filter_per_thread;
-      Alcotest.test_case "static+reentrant composition" `Quick
-        test_static_reentrant_composition;
       Alcotest.test_case "filter warning order" `Quick
-        test_static_filter_warning_order;
+        test_filter_warning_order;
       Alcotest.test_case "warning dedup" `Quick test_warning_dedup;
       Alcotest.test_case "warning pp" `Quick test_warning_pp;
     ] )

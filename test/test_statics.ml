@@ -1,12 +1,9 @@
 (* The static pre-pass: unit tests for each pipeline stage, then the
-   differential soundness artifacts — the blame gate (no statically
+   differential soundness artifact — the blame gate (no statically
    proved block is ever refuted by dynamic Velodrome, under round-robin,
-   random and adversarial schedules) and the filter differential (the
-   static_atomic event filter changes no back-end's warnings outside
-   proved blocks, for all six back-ends). *)
+   random and adversarial schedules). *)
 
 open Velodrome_sim
-open Velodrome_analysis
 module Cfg = Velodrome_statics.Cfg
 module Lockset = Velodrome_statics.Lockset
 module Mhp = Velodrome_statics.Mhp
@@ -273,14 +270,9 @@ let test_mover_race_free () =
   let cfg = Cfg.of_program p in
   let mv = movers_of p in
   let write_node = write_of cfg p.Ast.names "x" in
-  let x =
-    match write_node.Cfg.eff with Cfg.Write v -> v | _ -> assert false
-  in
   check Alcotest.bool "write is race-free both-mover" true
     (Movers.at_site mv write_node.Cfg.site
-    = Some (Movers.Both Movers.Race_free));
-  check Alcotest.bool "race-free written var is suppressible" true
-    (Movers.suppressible mv x)
+    = Some (Movers.Both Movers.Race_free))
 
 let test_mover_per_site () =
   (* Per-site precision: one variable, a guarded reader and a bare
@@ -807,97 +799,6 @@ let test_gate_workloads () =
       check_gate w.Workload.name program st)
     Workload.all
 
-(* --- the filter differential ------------------------------------------------- *)
-
-let six_backends names =
-  [
-    ("velodrome", fun () -> Backend.make (Velodrome_core.Engine.backend ()) names);
-    ( "velodrome-basic",
-      fun () -> Backend.make (Velodrome_core.Basic.backend ()) names );
-    ( "atomizer",
-      fun () -> Backend.make (Velodrome_atomizer.Atomizer.backend ()) names );
-    ("eraser", fun () -> Backend.make (Velodrome_eraser.Eraser.backend ()) names);
-    ("hb", fun () -> Backend.make (Velodrome_hbrace.Hbrace.backend ()) names);
-    ("aero", fun () -> Backend.make (Velodrome_core.Aero.backend ()) names);
-  ]
-
-(* Warnings projected to comparable keys, excluding those attributed to
-   statically-proved blocks (the filter is allowed — expected — to
-   silence those). The analysis name is dropped: the filtered run's
-   backend carries a "+static" suffix. *)
-let projected st names warnings =
-  Warning.dedup_by_label warnings
-  |> List.filter_map (fun (w : Warning.t) ->
-         match w.Warning.label with
-         | Some l when Statics.proved st l -> None
-         | label ->
-           Some
-             (Printf.sprintf "%s label=%s var=%s blamed=%b"
-                (Warning.kind_to_string w.Warning.kind)
-                (match label with
-                | Some l -> Velodrome_trace.Names.label_name names l
-                | None -> "-")
-                (match w.Warning.var with
-                | Some v -> Velodrome_trace.Names.var_name names v
-                | None -> "-")
-                w.Warning.blamed))
-  |> List.sort compare
-
-let assert_filter_differential what program st =
-  let names = program.Ast.names in
-  let proved, suppress_var = Statics.filter_predicates st in
-  let config = { Run.default_config with policy = Run.Random 11 } in
-  List.iter
-    (fun (bname, mk) ->
-      let plain =
-        (Run.run ~config program [ mk () ]).Run.warnings
-      in
-      let filtered =
-        (Run.run ~config program
-           [ Filters.static_atomic ~proved ~suppress_var (mk ()) ])
-          .Run.warnings
-      in
-      check
-        Alcotest.(list string)
-        (Printf.sprintf "%s/%s warnings unchanged outside proved blocks" what
-           bname)
-        (projected st names plain)
-        (projected st names filtered))
-    (six_backends names)
-
-let test_filter_differential_workloads () =
-  List.iter
-    (fun w ->
-      let program = w.Workload.build Workload.Small in
-      assert_filter_differential w.Workload.name program
-        (Statics.analyze program))
-    Workload.all
-
-(* The two recorded counterexamples to suppressing every race-free
-   variable: in both, a suppressed access in a proved block carried the
-   only ordering left to an unproved block after an engine dropped a
-   cycle-closing edge (890525 loses gen.b1 at event 76, 316 gen.b13 at
-   event 98). *)
-let test_filter_differential_pinned () =
-  List.iter
-    (fun seed ->
-      let p = generate seed in
-      assert_filter_differential
-        (Printf.sprintf "seed %d" seed)
-        p (Statics.analyze p))
-    [ 890525; 316 ]
-
-let prop_filter_differential_generated =
-  QCheck.Test.make ~count:60
-    ~name:"filter differential: six back-ends on generated programs"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let p = generate seed in
-      assert_filter_differential
-        (Printf.sprintf "seed %d" seed)
-        p (Statics.analyze p);
-      true)
-
 let suite =
   ( "statics",
     [
@@ -940,9 +841,4 @@ let suite =
       QCheck_alcotest.to_alcotest prop_generated_wellformed;
       QCheck_alcotest.to_alcotest prop_gate_generated;
       Alcotest.test_case "gate: workloads" `Quick test_gate_workloads;
-      Alcotest.test_case "filter differential: workloads" `Quick
-        test_filter_differential_workloads;
-      QCheck_alcotest.to_alcotest prop_filter_differential_generated;
-      Alcotest.test_case "filter differential: pinned seeds" `Quick
-        test_filter_differential_pinned;
     ] )

@@ -26,17 +26,9 @@ type var_facts = {
       (** locks held at every access so far; [None] before the first *)
 }
 
-type t = {
-  names : Names.t;
-  races : Races.t;
-  vars : var_facts IntMap.t;
-  by_site : (int * int list, klass) Hashtbl.t;
-}
+type t = { by_site : (int * int list, klass) Hashtbl.t }
 
 let empty_facts = { threads = IntSet.empty; written = false; guards = None }
-
-let var_facts t x =
-  Option.value ~default:empty_facts (IntMap.find_opt (Var.to_int x) t.vars)
 
 (* Pass 1: global per-variable facts — which threads access it, whether it
    is ever written, and the intersection of must-locksets over all access
@@ -123,7 +115,7 @@ let analyze ?(dead = fun (_ : Cfg.site) -> false) names cfg locksets races =
            else Left)
       | Cfg.Enter _ | Cfg.Exit _ | Cfg.Silent -> ())
     cfg;
-  { names; races; vars; by_site }
+  { by_site }
 
 let at_site t (site : Cfg.site) =
   Hashtbl.find_opt t.by_site (site.Cfg.thread, site.Cfg.path)

@@ -21,8 +21,6 @@
 open Velodrome_trace
 open Velodrome_trace.Ids
 
-module IntSet : Set.S with type elt = int
-
 type why_both =
   | Guarded of Lock.t  (** witness guard (the smallest-id common lock) *)
   | Thread_local
@@ -39,12 +37,6 @@ type why_non =
 
 type klass = Both of why_both | Right | Left | Non of why_non
 
-type var_facts = {
-  threads : IntSet.t;
-  written : bool;
-  guards : IntSet.t option;
-}
-
 type t
 
 val analyze :
@@ -58,8 +50,6 @@ val analyze :
 
 val at_site : t -> Cfg.site -> klass option
 (** [None] for sites with no observable effect (silent statements). *)
-
-val var_facts : t -> Var.t -> var_facts
 
 val pp_klass : Names.t -> Format.formatter -> klass -> unit
 val pp_why_both : Names.t -> Format.formatter -> why_both -> unit

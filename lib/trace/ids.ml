@@ -9,23 +9,48 @@ module type ID = sig
   val pp : Format.formatter -> t -> unit
 end
 
-module Make (P : sig
-  val prefix : string
-end) : ID = struct
+(* Each kind is a plain structure rather than a functor application: the
+   native compiler without flambda does not inline functions reached
+   through a functor's result, and [of_int] runs on every decoded or
+   parsed event. The raise stays out of line. *)
+module Base = struct
   type t = int
-
-  let of_int i =
-    if i < 0 then invalid_arg ("Ids: negative " ^ P.prefix ^ " id");
-    i
 
   let to_int i = i
   let equal = Int.equal
   let compare = Int.compare
   let hash i = i
-  let pp ppf i = Format.fprintf ppf "%s%d" P.prefix i
 end
 
-module Tid = Make (struct let prefix = "t" end)
-module Var = Make (struct let prefix = "x" end)
-module Lock = Make (struct let prefix = "m" end)
-module Label = Make (struct let prefix = "L" end)
+let[@inline never] negative prefix =
+  invalid_arg ("Ids: negative " ^ prefix ^ " id")
+
+let pp prefix ppf i = Format.fprintf ppf "%s%d" prefix i
+
+module Tid = struct
+  include Base
+
+  let[@inline] of_int i = if i < 0 then negative "t" else i
+  let pp = pp "t"
+end
+
+module Var = struct
+  include Base
+
+  let[@inline] of_int i = if i < 0 then negative "x" else i
+  let pp = pp "x"
+end
+
+module Lock = struct
+  include Base
+
+  let[@inline] of_int i = if i < 0 then negative "m" else i
+  let pp = pp "m"
+end
+
+module Label = struct
+  include Base
+
+  let[@inline] of_int i = if i < 0 then negative "L" else i
+  let pp = pp "L"
+end

@@ -98,50 +98,20 @@ let write_file names trace path =
 
 (* --- decoding --------------------------------------------------------------- *)
 
-(* A reader pulls its input through this buffer: one [input] call per chunk
-   instead of one locked channel call per byte. [base] is the file offset
-   of [buf.[0]], so [base + pos] is the number of bytes consumed — the
-   offset every [Corrupt] message reports. *)
-type source = {
-  ic : in_channel;
-  buf : Bytes.t;
-  mutable pos : int;
-  mutable lim : int;
-  mutable base : int;
-}
-
-let chunk = 65536
-
-(* Sized to the bytes left when the length is known, so a short stream
-   does not pin a full chunk. *)
-let source_of_channel ic =
-  let base = pos_in ic in
-  let size =
-    match in_channel_length ic - base with
-    | n when n > 0 -> min chunk n
-    | _ | (exception Sys_error _) -> chunk
-  in
-  { ic; buf = Bytes.create size; pos = 0; lim = 0; base }
-
-let corrupt_at s fmt =
+(* A reader pulls its input through an [Inbuf.t]: one [input] call per
+   chunk instead of one locked channel call per byte. *)
+let corrupt_at (s : Inbuf.t) fmt =
   Printf.ksprintf
     (fun msg ->
       raise (Corrupt (Printf.sprintf "%s (at byte %d)" msg (s.base + s.pos))))
     fmt
 
-(* Moves the window past the consumed bytes; false at end of input. *)
-let refill s =
-  s.base <- s.base + s.lim;
-  s.pos <- 0;
-  s.lim <- input s.ic s.buf 0 (Bytes.length s.buf);
-  s.lim > 0
-
-let[@inline never] input_byte_slow s =
-  if not (refill s) then corrupt_at s "truncated input";
+let[@inline never] input_byte_slow (s : Inbuf.t) =
+  if not (Inbuf.refill s) then corrupt_at s "truncated input";
   s.pos <- 1;
   Char.code (Bytes.unsafe_get s.buf 0)
 
-let[@inline] input_byte' s =
+let[@inline] input_byte' (s : Inbuf.t) =
   let pos = s.pos in
   if pos < s.lim then begin
     s.pos <- pos + 1;
@@ -152,7 +122,7 @@ let[@inline] input_byte' s =
 (* Exactly [n] bytes, copied out chunk by chunk so allocation stays bounded
    by the bytes actually present; [None] (with everything consumed) if the
    input ends first. *)
-let input_string s n =
+let input_string (s : Inbuf.t) n =
   if n <= s.lim - s.pos then begin
     let str = Bytes.sub_string s.buf s.pos n in
     s.pos <- s.pos + n;
@@ -165,7 +135,7 @@ let input_string s n =
       Buffer.add_subbytes out s.buf s.pos avail;
       s.pos <- s.pos + avail;
       if avail = need then Some (Buffer.contents out)
-      else if refill s then go (need - avail)
+      else if Inbuf.refill s then go (need - avail)
       else None
     in
     go n
@@ -207,7 +177,7 @@ let input_dict s tbl =
   done
 
 type reader = {
-  src : source;
+  src : Inbuf.t;
   names : Names.t;
   length : int;
   mutable last_tid : int;
@@ -218,7 +188,7 @@ type reader = {
 }
 
 let reader_of_channel ic =
-  let s = source_of_channel ic in
+  let s = Inbuf.of_channel ic in
   (match input_string s (String.length magic) with
   | Some m when m = magic -> ()
   | Some m -> corrupt_at s "bad magic %S (not a binary trace)" m
@@ -284,12 +254,12 @@ let input_op r =
   | c -> corrupt_at s "unknown opcode %d" c
 
 let check_end r =
-  let s = r.src in
+  let s : Inbuf.t = r.src in
   (match input_string s (String.length end_marker) with
   | Some m when m = end_marker -> ()
   | Some m -> corrupt_at s "bad end marker %S (file damaged?)" m
   | None -> corrupt_at s "truncated input: missing end marker");
-  if s.pos < s.lim || refill s then begin
+  if s.pos < s.lim || Inbuf.refill s then begin
     s.pos <- s.pos + 1;
     corrupt_at s "trailing garbage after end marker"
   end

@@ -34,7 +34,7 @@
     the file offset. That offset is the number of bytes consumed when
     decoding stopped — for a truncated file, its length.
 
-    A reader owns its channel: it reads ahead in chunks of up to 64 KiB
+    A reader owns its channel: it reads ahead in chunks of up to 4 KiB
     into a private buffer (sized down to what is left of a shorter file),
     so once a reader is created the channel's position says nothing about
     how far decoding has got, and nothing else should read from it. *)

@@ -1,4 +1,5 @@
 open Ids
+open Velodrome_util
 
 exception Syntax_error of int * string
 
@@ -28,78 +29,154 @@ let to_string names trace =
 
 let write names trace oc = output_string oc (to_string names trace)
 
-let parse_tid lineno s =
-  if String.length s >= 2 && s.[0] = 't' then
-    match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-    | Some n when n >= 0 -> Tid.of_int n
-    | _ -> raise (Syntax_error (lineno, "bad thread id " ^ s))
-  else raise (Syntax_error (lineno, "expected thread id like t0, got " ^ s))
+(* --- parsing ----------------------------------------------------------------
 
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun w -> w <> "")
+   One scanner serves every entry point. It finds each line's newline in
+   the input buffer, then its words (split on space, tab and CR, cut at
+   the first [#]) as spans of that buffer, and matches keywords and
+   interns names on the spans: per line it allocates the returned
+   [Op.t] and nothing else, and a name's string only on first sight. *)
 
-let parse_line names ~lineno line =
-  let line =
-    match String.index_opt line '#' with
-    | Some k -> String.sub line 0 k
-    | None -> line
-  in
-  match split_words line with
-  | [] -> None
-  | [ t; "end" ] -> Some (Op.End (parse_tid lineno t))
-  | [ t; kind; name ] ->
-    let t = parse_tid lineno t in
-    let op =
-      match kind with
-      | "rd" -> Op.Read (t, Names.var names name)
-      | "wr" -> Op.Write (t, Names.var names name)
-      | "acq" -> Op.Acquire (t, Names.lock names name)
-      | "rel" -> Op.Release (t, Names.lock names name)
-      | "begin" -> Op.Begin (t, Names.label names name)
-      | k -> raise (Syntax_error (lineno, "unknown operation " ^ k))
-    in
-    Some op
-  | _ -> raise (Syntax_error (lineno, "malformed line"))
+let word (s : Inbuf.t) off len = Bytes.sub_string s.buf off len
 
-let of_string src =
-  let names = Names.create () in
-  let ops = ref [] in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i line ->
-      match parse_line names ~lineno:(i + 1) line with
-      | None -> ()
-      | Some op -> ops := op :: !ops)
-    lines;
-  (names, Trace.of_ops (List.rev !ops))
+let[@inline never] syntax_error lineno msg = raise (Syntax_error (lineno, msg))
 
-let fold_channel names ic ~init ~f =
+(* The ids [parse_tid]'s digit loop leaves alone: signs, base prefixes,
+   underscores, more than 18 digits. [int_of_string_opt] reads or
+   rejects them as it always did. *)
+let[@inline never] parse_tid_slow (s : Inbuf.t) lineno off len =
+  match int_of_string_opt (Bytes.sub_string s.buf (off + 1) (len - 1)) with
+  | Some n when n >= 0 -> Tid.of_int n
+  | _ -> syntax_error lineno ("bad thread id " ^ word s off len)
+
+let parse_tid (s : Inbuf.t) lineno off len =
+  let buf = s.buf in
+  if len < 2 || Bytes.unsafe_get buf off <> 't' then
+    syntax_error lineno ("expected thread id like t0, got " ^ word s off len)
+  else if len > 19 then parse_tid_slow s lineno off len
+  else begin
+    let n = ref 0 and k = ref (off + 1) in
+    while
+      !k < off + len
+      &&
+      let c = Bytes.unsafe_get buf !k in
+      c >= '0' && c <= '9'
+    do
+      n := (10 * !n) + (Char.code (Bytes.unsafe_get buf !k) - 48);
+      incr k
+    done;
+    if !k = off + len then Tid.of_int !n else parse_tid_slow s lineno off len
+  end
+
+let[@inline] is_sep c = c = ' ' || c = '\t' || c = '\r'
+
+let[@inline] is2 buf off a b =
+  Bytes.unsafe_get buf off = a && Bytes.unsafe_get buf (off + 1) = b
+
+let[@inline] is3 buf off a b c =
+  is2 buf off a b && Bytes.unsafe_get buf (off + 2) = c
+
+(* The index of the newline that ends the line starting at [s.pos],
+   reading on as needed; [s.lim] if the input ends first. *)
+let line_end (s : Inbuf.t) =
+  let stop = ref (-1) and from = ref s.pos in
+  while !stop < 0 do
+    let buf = s.buf and lim = s.lim in
+    let i = ref !from in
+    while !i < lim && Bytes.unsafe_get buf !i <> '\n' do
+      incr i
+    done;
+    if !i < lim then stop := !i
+    else begin
+      let scanned = !i - s.pos in
+      if Inbuf.refill s then from := s.pos + scanned else stop := s.lim
+    end
+  done;
+  !stop
+
+let fold names (s : Inbuf.t) ~init ~f =
   let acc = ref init in
-  let lineno = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       match parse_line names ~lineno:!lineno line with
-       | None -> ()
-       | Some op -> acc := f !acc op
-     done
-   with End_of_file -> ());
+  let line = ref 0 in
+  let more = ref true in
+  while !more do
+    let e = line_end s in
+    if e = s.lim then more := false;
+    if e > s.pos || !more then begin
+      incr line;
+      let buf = s.buf in
+      (* The first three words' spans and the word count. *)
+      let n = ref 0 and o0 = ref 0 and l0 = ref 0 and o1 = ref 0 in
+      let l1 = ref 0 and o2 = ref 0 and l2 = ref 0 in
+      let i = ref s.pos and stop = ref e in
+      while !i < !stop do
+        let c = Bytes.unsafe_get buf !i in
+        if is_sep c then incr i
+        else if c = '#' then stop := !i
+        else begin
+          let j = ref (!i + 1) in
+          while
+            !j < !stop
+            &&
+            let c = Bytes.unsafe_get buf !j in
+            not (is_sep c || c = '#')
+          do
+            incr j
+          done;
+          (match !n with
+          | 0 -> o0 := !i; l0 := !j - !i
+          | 1 -> o1 := !i; l1 := !j - !i
+          | 2 -> o2 := !i; l2 := !j - !i
+          | _ -> ());
+          incr n;
+          i := !j
+        end
+      done;
+      let lineno = !line in
+      let o1 = !o1 and l1 = !l1 in
+      (match !n with
+      | 0 -> ()
+      | 2 when l1 = 3 && is3 buf o1 'e' 'n' 'd' ->
+        acc := f !acc (Op.End (parse_tid s lineno !o0 !l0))
+      | 3 ->
+        let t = parse_tid s lineno !o0 !l0 in
+        let o2 = !o2 and l2 = !l2 in
+        let op =
+          if l1 = 2 && is2 buf o1 'r' 'd' then
+            Op.Read (t, Var.of_int (Symtab.intern_sub names.Names.vars buf o2 l2))
+          else if l1 = 2 && is2 buf o1 'w' 'r' then
+            Op.Write (t, Var.of_int (Symtab.intern_sub names.Names.vars buf o2 l2))
+          else if l1 = 3 && is3 buf o1 'a' 'c' 'q' then
+            Op.Acquire
+              (t, Lock.of_int (Symtab.intern_sub names.Names.locks buf o2 l2))
+          else if l1 = 3 && is3 buf o1 'r' 'e' 'l' then
+            Op.Release
+              (t, Lock.of_int (Symtab.intern_sub names.Names.locks buf o2 l2))
+          else if l1 = 5 && is3 buf o1 'b' 'e' 'g' && is2 buf (o1 + 3) 'i' 'n'
+          then
+            Op.Begin
+              (t, Label.of_int (Symtab.intern_sub names.Names.labels buf o2 l2))
+          else syntax_error lineno ("unknown operation " ^ word s o1 l1)
+        in
+        acc := f !acc op
+      | _ -> syntax_error lineno "malformed line");
+      s.pos <- (if !more then e + 1 else e)
+    end
+  done;
   !acc
+
+let to_list names s =
+  let ops_rev = fold names s ~init:[] ~f:(fun acc op -> op :: acc) in
+  (names, Trace.of_ops (List.rev ops_rev))
+
+let of_string src = to_list (Names.create ()) (Inbuf.of_string src)
+
+let fold_channel names ic ~init ~f = fold names (Inbuf.of_channel ic) ~init ~f
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let names = Names.create () in
-      let ops_rev =
-        fold_channel names ic ~init:[] ~f:(fun acc op -> op :: acc)
-      in
-      (names, Trace.of_ops (List.rev ops_rev)))
+    (fun () -> to_list (Names.create ()) (Inbuf.of_channel ic))
 
 let write_file names trace path =
   let oc = open_out_bin path in

@@ -210,7 +210,7 @@ let test_hostile_name_length () =
 (* --- refill boundaries ------------------------------------------------------ *)
 
 (* The decoder reads its input in chunks of this many bytes. *)
-let chunk = 65536
+let chunk = Inbuf.chunk
 
 (* A generated trace whose encoding spans more than three chunks. *)
 let big_encoding =
@@ -280,6 +280,31 @@ let test_decode_allocation () =
             true
             (words <= float_of_int ((7 * events) + 1024))))
 
+(* Text parsing allocates the returned operation and nothing else per
+   line once every name is interned: at most 3 words per event. *)
+let test_parse_allocation () =
+  let names, tr, _ = Lazy.force big_encoding in
+  let events = Trace.length tr in
+  check bool "at least 100k events" true (events >= 100_000);
+  with_temp_file (fun path ->
+      Trace_io.write_file names tr path;
+      let parse names =
+        In_channel.with_open_bin path (fun ic ->
+            let w0 = Gc.minor_words () in
+            let n =
+              Trace_io.fold_channel names ic ~init:0 ~f:(fun n _ -> n + 1)
+            in
+            (n, Gc.minor_words () -. w0))
+      in
+      let names = Names.create () in
+      ignore (parse names);
+      let n, words = parse names in
+      check int "every event parsed" events n;
+      check bool
+        (Printf.sprintf "%.0f words for %d events" words events)
+        true
+        (words <= float_of_int ((3 * events) + 1024)))
+
 let suite =
   ( "codec",
     [
@@ -300,6 +325,7 @@ let suite =
       Alcotest.test_case "big round-trip" `Quick test_big_roundtrip;
       Alcotest.test_case "cuts report length" `Quick test_cuts_report_length;
       Alcotest.test_case "decode allocation" `Quick test_decode_allocation;
+      Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
       QCheck_alcotest.to_alcotest prop_roundtrip_exact;
       QCheck_alcotest.to_alcotest prop_roundtrip_matches_text;
     ] )

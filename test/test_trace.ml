@@ -217,6 +217,173 @@ let prop_io_roundtrip =
       let names2, tr2 = Trace_io.of_string s1 in
       Trace_io.to_string names2 tr2 = s1 && Trace.length tr2 = Trace.length tr)
 
+(* --- Scanner against the line-splitting parser ------------------------------- *)
+
+(* The parser [Trace_io] used before its in-place scanner, kept verbatim
+   as the reference: split each line on '\n', cut it at the first '#',
+   split on space, tab and CR, then match the word list. *)
+module Reference = struct
+  let parse_tid lineno s =
+    if String.length s >= 2 && s.[0] = 't' then
+      match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
+      | Some n when n >= 0 -> Tid.of_int n
+      | _ -> raise (Trace_io.Syntax_error (lineno, "bad thread id " ^ s))
+    else
+      raise
+        (Trace_io.Syntax_error
+           (lineno, "expected thread id like t0, got " ^ s))
+
+  let split_words s =
+    String.split_on_char ' ' s
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.concat_map (String.split_on_char '\r')
+    |> List.filter (fun w -> w <> "")
+
+  let parse_line names ~lineno line =
+    let line =
+      match String.index_opt line '#' with
+      | Some k -> String.sub line 0 k
+      | None -> line
+    in
+    match split_words line with
+    | [] -> None
+    | [ t; "end" ] -> Some (Op.End (parse_tid lineno t))
+    | [ t; kind; name ] ->
+      let t = parse_tid lineno t in
+      let op =
+        match kind with
+        | "rd" -> Op.Read (t, Names.var names name)
+        | "wr" -> Op.Write (t, Names.var names name)
+        | "acq" -> Op.Acquire (t, Names.lock names name)
+        | "rel" -> Op.Release (t, Names.lock names name)
+        | "begin" -> Op.Begin (t, Names.label names name)
+        | k -> raise (Trace_io.Syntax_error (lineno, "unknown operation " ^ k))
+      in
+      Some op
+    | _ -> raise (Trace_io.Syntax_error (lineno, "malformed line"))
+
+  let iter names src emit =
+    List.iteri
+      (fun i line -> Option.iter emit (parse_line names ~lineno:(i + 1) line))
+      (String.split_on_char '\n' src)
+end
+
+let dump_names (names : Names.t) =
+  let dump tbl =
+    let out = ref [] in
+    Velodrome_util.Symtab.iter tbl (fun id s -> out := (id, s) :: !out);
+    List.rev !out
+  in
+  (dump names.Names.vars, dump names.Names.locks, dump names.Names.labels)
+
+(* What a parse leaves: the operations read before it stopped, the
+   names interned and the error, if any. *)
+let outcome parse src =
+  let names = Names.create () in
+  let ops = ref [] in
+  let error =
+    match parse names src (fun op -> ops := op :: !ops) with
+    | () -> None
+    | exception Trace_io.Syntax_error (l, m) -> Some (l, m)
+  in
+  (List.rev !ops, dump_names names, error)
+
+let reference_outcome = outcome Reference.iter
+
+let with_text_file src f =
+  let path = Filename.temp_file "velodrome" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc src);
+      f path)
+
+let channel_outcome =
+  outcome (fun names src emit ->
+      with_text_file src (fun path ->
+          In_channel.with_open_bin path (fun ic ->
+              Trace_io.fold_channel names ic ~init:() ~f:(fun () op -> emit op))))
+
+(* [fold_channel] must match the reference on everything; [of_string]
+   on the trace and names, or on the error. *)
+let same_as_reference src =
+  let ((_, _, error) as expected) = reference_outcome src in
+  channel_outcome src = expected
+  &&
+  match Trace_io.of_string src with
+  | names, tr ->
+    error = None && (Trace.to_list tr, dump_names names, None) = expected
+  | exception Trace_io.Syntax_error (l, m) -> error = Some (l, m)
+
+let scanner_tokens =
+  [|
+    "t0"; "t"; "x"; "t0x1f"; "t1_0"; "t-0"; "t+3"; "t7";
+    "t1234567890123456789"; "t9999999999999999999";
+    "t12345678901234567890"; "t00000000000000000000042";
+    "rd"; "wr"; "acq"; "rel"; "begin"; "end"; "frob"; "RD"; "#"; "x#y";
+    "a"; "b"; "Set.add"; "\xc3\xa9t\xc3\xa9"; "\x0b"; "v\x0bw"; "\000";
+    "n\000m"; "\xff";
+  |]
+
+let gen_scanner_input =
+  let open QCheck.Gen in
+  let tid = oneofa [| "t0"; "t1"; "t7"; "t0x1f"; "t1_0"; "t-0"; "t+3"; "t" |] in
+  let kw = oneofa [| "rd"; "wr"; "acq"; "rel"; "begin"; "end" |] in
+  let name = oneofa [| "a"; "b"; "x#y"; "Set.add"; "\xc3\xa9t\xc3\xa9"; "n\000m" |] in
+  let any = oneofa scanner_tokens in
+  let slot i =
+    frequency
+      [ (6, match i with 0 -> tid | 1 -> kw | _ -> name); (1, any) ]
+  in
+  let sep = oneofa [| " "; "\t"; "\r"; ""; "  "; " \t"; "\r " |] in
+  (* Words and separators alternate; an empty separator fuses two
+     words into one. *)
+  let line =
+    int_range 0 4 >>= fun n ->
+    flatten_l (List.init n slot) >>= fun words ->
+    flatten_l (List.init (n + 1) (fun _ -> sep)) >|= fun seps ->
+    List.hd seps
+    ^ String.concat ""
+        (List.concat (List.map2 (fun w s -> [ w; s ]) words (List.tl seps)))
+  in
+  list_size (int_range 0 12) line >>= fun lines ->
+  bool >|= fun final_newline ->
+  String.concat "\n" lines ^ if final_newline && lines <> [] then "\n" else ""
+
+let prop_scanner_differential =
+  QCheck.Test.make ~count:1000
+    ~name:"text scanner = line-splitting parser (ops, names, errors)"
+    (QCheck.make ~print:String.escaped gen_scanner_input)
+    same_as_reference
+
+let check_same_as_reference what src =
+  let expected = reference_outcome src in
+  let got = channel_outcome src in
+  let ops (o, _, _) = List.length o and err (_, _, e) = e in
+  check int (what ^ ": ops") (ops expected) (ops got);
+  check
+    Alcotest.(option (pair int string))
+    (what ^ ": error") (err expected) (err got);
+  check bool (what ^ ": same outcome") true (got = expected)
+
+(* A line longer than the buffer's first chunk: the buffer grows. *)
+let test_scanner_long_line () =
+  let long = String.make (Inbuf.chunk + 1000) 'n' in
+  let src = "t0 rd a\nt1 wr " ^ long ^ "\nt2 rd " ^ long ^ "\nt3 frob x\n" in
+  check_same_as_reference "long line" src;
+  let _, (vars, _, _), _ = channel_outcome src in
+  check int "two names" 2 (List.length vars)
+
+(* A line straddling the first chunk boundary, at every split point of
+   its bytes (and CRLF endings, so CR lands on either side too). *)
+let test_scanner_chunk_boundary () =
+  let line = "t12 acq some.lock\r\n" in
+  for d = 0 to String.length line do
+    let pad = Inbuf.chunk - d - 2 in
+    let src = "#" ^ String.make pad 'p' ^ "\n" ^ line ^ "t3 rel some.lock\nt4 oops\n" in
+    check_same_as_reference (Printf.sprintf "split %d" d) src
+  done
+
 (* --- Generator properties -------------------------------------------------- *)
 
 let prop_gen_well_formed =
@@ -284,6 +451,10 @@ let suite =
       Alcotest.test_case "trace_io file roundtrip" `Quick
         test_io_file_roundtrip;
       QCheck_alcotest.to_alcotest prop_io_roundtrip;
+      QCheck_alcotest.to_alcotest prop_scanner_differential;
+      Alcotest.test_case "scanner long line" `Quick test_scanner_long_line;
+      Alcotest.test_case "scanner chunk boundary" `Quick
+        test_scanner_chunk_boundary;
       QCheck_alcotest.to_alcotest prop_gen_well_formed;
       QCheck_alcotest.to_alcotest prop_gen_small_well_formed;
       QCheck_alcotest.to_alcotest prop_gen_closes_blocks;

@@ -45,7 +45,6 @@ type t = {
   mutable warnings_rev : Warning.t list;
   reported : (report_key, unit) Hashtbl.t;
   mutable cycles : int;
-  mutable blamed : int;
   mutable first_error : int option;
   mutable pending : Pool.cycle list;
       (** cycles detected while processing the current event; one event may
@@ -70,7 +69,6 @@ let create ?(config = default_config) names =
     warnings_rev = [];
     reported = Hashtbl.create 16;
     cycles = 0;
-    blamed = 0;
     first_error = None;
     pending = [];
     mbuf = Array.make 8 Step.bottom;
@@ -248,7 +246,6 @@ let emit_cycle_warning t st (e : Event.t) (c : Pool.cycle) =
      unary transactions are trivially self-serializable and never blamed. *)
   let refuted = List.filter (fun (l, _) -> l >= 0) refuted in
   let blamed = refuted <> [] in
-  if blamed then t.blamed <- t.blamed + 1;
   (* The outermost refuted block is the method we report (inner refuted
      blocks are mentioned; deeper, non-refuted blocks stay silent). *)
   let outermost = List.rev refuted in
@@ -379,9 +376,7 @@ let merge_finish t (e : Event.t) =
     if rep >= 0 then t.mbuf.(rep)
     else begin
       let n =
-        Pool.alloc t.pool
-          ~tid:(Tid.to_int (Op.tid e.Event.op))
-          ~label:(-1) ~event:e.Event.index
+        Pool.alloc t.pool ~tid:(Tid.to_int (Op.tid e.Event.op)) ~label:(-1)
       in
       let ts = Pool.fresh_ts n in
       for i = 0 to t.mlen - 1 do
@@ -424,9 +419,7 @@ let inside_step st n =
    when [config.merge] is off; Table 1's "Without Merge" columns. *)
 let outside_naive t st (e : Event.t) body =
   let n =
-    Pool.alloc t.pool
-      ~tid:(Tid.to_int (Op.tid e.Event.op))
-      ~label:(-1) ~event:e.Event.index
+    Pool.alloc t.pool ~tid:(Tid.to_int (Op.tid e.Event.op)) ~label:(-1)
   in
   Pool.set_active t.pool n true;
   let ts0 = Pool.fresh_ts n in
@@ -483,7 +476,6 @@ let dispatch t st (e : Event.t) =
       (* [INS2 ENTER] *)
       let n =
         Pool.alloc t.pool ~tid:(Tid.to_int tid) ~label:(Label.to_int l)
-          ~event:e.Event.index
       in
       Pool.set_active t.pool n true;
       let ts = Pool.fresh_ts n in
@@ -571,7 +563,6 @@ let finish _ = ()
 let warnings t = List.rev t.warnings_rev
 let has_error t = t.cycles > 0
 let cycles_found t = t.cycles
-let blamed_count t = t.blamed
 let first_error_index t = t.first_error
 let nodes_allocated t = Pool.allocated t.pool
 let nodes_max_alive t = Pool.max_alive t.pool

@@ -74,9 +74,6 @@ val first_error_index : t -> int option
     violation at exactly the event that makes the prefix non-serializable,
     so this is directly comparable across engine variants. *)
 
-val blamed_count : t -> int
-(** Cycles for which blame was pinned on a specific transaction. *)
-
 val nodes_allocated : t -> int
 val nodes_max_alive : t -> int
 val nodes_live : t -> int

@@ -16,7 +16,6 @@ type node = {
           exactly the nodes that carry it *)
   mutable d_tid : int;
   mutable d_label : int;
-  mutable d_event : int;
 }
 
 and edge = {
@@ -65,9 +64,8 @@ let is_live n = n.live
 let is_active n = n.active
 let diag_tid n = n.d_tid
 let diag_label n = n.d_label
-let diag_event n = n.d_event
 
-let alloc t ~tid ~label ~event =
+let alloc t ~tid ~label =
   let n =
     if t.nfree > 0 then begin
       t.nfree <- t.nfree - 1;
@@ -93,7 +91,6 @@ let alloc t ~tid ~label ~event =
           descendants = Bitset.create ~capacity:64 ();
           d_tid = -1;
           d_label = -1;
-          d_event = -1;
         }
       in
       Vec.push t.slots n;
@@ -102,7 +99,6 @@ let alloc t ~tid ~label ~event =
   in
   n.d_tid <- tid;
   n.d_label <- label;
-  n.d_event <- event;
   t.live_count <- t.live_count + 1;
   Stats.incr t.counter;
   n
@@ -338,10 +334,6 @@ let live_count t = t.live_count
 let allocated t = Stats.total_increments t.counter
 let max_alive t = Stats.high_water t.counter
 let clear_work t = t.clear_work
-
-let check_no_live t =
-  let k = live_count t in
-  if k = 0 then Ok () else Error k
 
 (* --- Introspection for tests ---------------------------------------------- *)
 

@@ -53,9 +53,9 @@ type cycle = {
 
 val create : unit -> t
 
-val alloc : t -> tid:int -> label:int -> event:int -> node
+val alloc : t -> tid:int -> label:int -> node
 (** A fresh (or recycled) live, inactive node with no edges. [label] is
-    [-1] for unary/merged transactions; [tid]/[event] are diagnostic.
+    [-1] for unary/merged transactions; [tid] is diagnostic.
     Raises {!Slots_exhausted} when every slot holds a live node. *)
 
 val set_active : t -> node -> bool -> unit
@@ -102,7 +102,6 @@ val is_active : node -> bool
 
 val diag_tid : node -> int
 val diag_label : node -> int
-val diag_event : node -> int
 
 val happens_before_or_eq : t -> node -> node -> bool
 (** Non-strict: equal nodes, or a path exists. Used by [merge]. *)
@@ -140,11 +139,6 @@ val clear_work : t -> int
 (** Cumulative count of nodes visited while clearing ancestor bit-columns
     during collection. Freeing a node must cost O(its descendants), not
     O(live nodes); the regression test pins this down. *)
-
-val check_no_live : t -> (unit, int) result
-(** [Ok ()] if every node has been collected; [Error k] with the number of
-    survivors otherwise. Used by tests: after a trace whose transactions
-    all finish cycle-free, the GC must have emptied the graph. *)
 
 (** {2 Introspection for tests}
 

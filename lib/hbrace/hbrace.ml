@@ -12,7 +12,6 @@ type t = {
   vars : (int, var_clocks) Hashtbl.t;
   mutable warnings_rev : Warning.t list;
   reported : (int, unit) Hashtbl.t;
-  mutable races : int;
 }
 
 let name = "hb"
@@ -25,7 +24,6 @@ let create names =
     vars = Hashtbl.create 64;
     warnings_rev = [];
     reported = Hashtbl.create 8;
-    races = 0;
   }
 
 let thread_clock t ti =
@@ -48,7 +46,6 @@ let var_clocks t x =
     vc
 
 let report t (e : Event.t) x ~kind_str =
-  t.races <- t.races + 1;
   if not (Hashtbl.mem t.reported x) then begin
     Hashtbl.replace t.reported x ();
     let var = Var.of_int x in
@@ -99,7 +96,6 @@ let on_event t (e : Event.t) =
 
 let finish _ = ()
 let warnings t = List.rev t.warnings_rev
-let races_found t = t.races
 
 let backend () : (module Backend.S) =
   (module struct

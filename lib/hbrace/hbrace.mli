@@ -24,6 +24,5 @@ val create : Names.t -> t
 val on_event : t -> Event.t -> unit
 val finish : t -> unit
 val warnings : t -> Warning.t list
-val races_found : t -> int
 val name : string
 val backend : unit -> (module Backend.S)

@@ -83,7 +83,3 @@ let spin_until t x e =
     read tmp x;
     while_ (r tmp <>: e) [ yield; read tmp x ];
   ]
-
-let incr_var t x =
-  let tmp = fresh_reg t in
-  [ read tmp x; write x (r tmp +: i 1) ]

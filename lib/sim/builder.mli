@@ -68,6 +68,3 @@ val yield : Ast.stmt
 val spin_until : t -> Var.t -> Ast.expr -> Ast.stmt list
 (** Busy-wait until the (volatile) variable equals the expression,
     re-reading it every iteration. *)
-
-val incr_var : t -> Var.t -> Ast.stmt list
-(** Unsynchronized read-modify-write: [x := x + 1] via a fresh register. *)

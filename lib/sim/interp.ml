@@ -228,6 +228,3 @@ let read_var t x = t.memory.(Var.to_int x)
 
 let all_finished t =
   Array.for_all (fun th -> th.st = Finished) t.threads
-
-let runnable_exists t =
-  Array.exists (fun th -> th.st = Runnable) t.threads

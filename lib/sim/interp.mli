@@ -73,6 +73,3 @@ val read_var : t -> Ids.Var.t -> int
 (** Current shared-memory value (for tests and examples). *)
 
 val all_finished : t -> bool
-
-val runnable_exists : t -> bool
-(** Some thread is [Runnable] (possibly compute-bound). *)

@@ -69,6 +69,3 @@ let concurrent t (a : Cfg.node) (b : Cfg.node) =
 
 let enclosing_atomics t id =
   if id >= 0 && id < Array.length t.atomics then t.atomics.(id) else []
-
-let innermost_atomic t id =
-  match enclosing_atomics t id with l :: _ -> Some l | [] -> None

@@ -45,5 +45,3 @@ val concurrent : t -> Cfg.node -> Cfg.node -> bool
 
 val enclosing_atomics : t -> int -> Label.t list
 (** Atomic blocks containing the node, innermost first. *)
-
-val innermost_atomic : t -> int -> Label.t option

@@ -155,6 +155,3 @@ let explain names p =
   Printf.sprintf "%s and %s share no lock%s" (access_string names p.a)
     (access_string names p.b)
     blocks
-
-let pp_pair names ppf p =
-  Format.fprintf ppf "%s: %s" (Names.var_name names p.var) (explain names p)

@@ -63,4 +63,3 @@ val other_end : pair -> Cfg.site -> access
 (** The endpoint of the pair that is not at the given site. *)
 
 val explain : Names.t -> pair -> string
-val pp_pair : Names.t -> Format.formatter -> pair -> unit

@@ -2,14 +2,12 @@ open Velodrome_trace
 
 type t = {
   names : Names.t;
-  length : int option;
   iter : (Event.t -> unit) -> unit;
 }
 
 let of_trace names trace =
   {
     names;
-    length = Some (Trace.length trace);
     iter =
       (fun f -> Trace.iteri (fun index op -> f (Event.make ~index op)) trace);
   }
@@ -35,7 +33,6 @@ let with_file path k =
         k
           {
             names = Trace_codec.reader_names r;
-            length = Some (Trace_codec.reader_length r);
             iter = (fun f -> Trace_codec.iter_events r f);
           }
       end
@@ -47,5 +44,5 @@ let with_file path k =
               f (Event.make ~index:!index op);
               incr index)
         in
-        k { names; length = None; iter }
+        k { names; iter }
       end)

@@ -15,9 +15,6 @@ open Velodrome_trace
 
 type t = {
   names : Names.t;
-  length : int option;
-      (** Event count when known up front (binary sources); [None] for
-          textual sources, which are discovered line by line. *)
   iter : (Event.t -> unit) -> unit;
       (** Single-shot iteration in trace order; indices count from 0. *)
 }

@@ -1,5 +1,4 @@
-type t = { op : Op.t; site : int; index : int }
+type t = { op : Op.t; index : int }
 
-let make ?(site = Names.no_site) ~index op = { op; site; index }
+let make ~index op = { op; index }
 let of_ops ops = List.mapi (fun index op -> make ~index op) ops
-let pp ppf e = Format.fprintf ppf "#%d %a" e.index Op.pp e.op

@@ -1,20 +1,16 @@
 (** Instrumentation events.
 
-    An event is an operation plus the diagnostic context RoadRunner would
-    attach: a source-site id (interned in {!Names.t}) and the global index
-    of the event in the observed stream. Analyses consume events; formal
-    reasoning (the oracle, the trace generators) works on bare
-    operations. *)
+    An event is an operation plus the global index of the event in the
+    observed stream, the diagnostic context every warning names. Analyses
+    consume events; formal reasoning (the oracle, the trace generators)
+    works on bare operations. *)
 
 type t = {
   op : Op.t;
-  site : int;  (** interned source location, or {!Names.no_site} *)
   index : int;  (** position in the observed stream, starting at 0 *)
 }
 
-val make : ?site:int -> index:int -> Op.t -> t
+val make : index:int -> Op.t -> t
 
 val of_ops : Op.t list -> t list
-(** Number a bare operation list into an event stream with unknown sites. *)
-
-val pp : Format.formatter -> t -> unit
+(** Number a bare operation list into an event stream. *)

@@ -4,7 +4,6 @@ type t = {
   vars : Symtab.t;
   locks : Symtab.t;
   labels : Symtab.t;
-  sites : Symtab.t;
   volatiles : (int, unit) Hashtbl.t;
 }
 
@@ -13,14 +12,12 @@ let create () =
     vars = Symtab.create ();
     locks = Symtab.create ();
     labels = Symtab.create ();
-    sites = Symtab.create ();
     volatiles = Hashtbl.create 8;
   }
 
 let var t s = Ids.Var.of_int (Symtab.intern t.vars s)
 let lock t s = Ids.Lock.of_int (Symtab.intern t.locks s)
 let label t s = Ids.Label.of_int (Symtab.intern t.labels s)
-let site t s = Symtab.intern t.sites s
 
 let lookup tbl id fallback =
   match id with
@@ -36,7 +33,5 @@ let lock_name t m =
 let label_name t l =
   lookup t.labels (Ids.Label.to_int l) (Format.asprintf "%a" Ids.Label.pp l)
 
-let site_name t s = lookup t.sites s "?"
-let no_site = -1
 let set_volatile t x = Hashtbl.replace t.volatiles (Ids.Var.to_int x) ()
 let is_volatile t x = Hashtbl.mem t.volatiles (Ids.Var.to_int x)

@@ -11,7 +11,6 @@ type t = {
   vars : Symtab.t;
   locks : Symtab.t;
   labels : Symtab.t;
-  sites : Symtab.t;  (** source locations for diagnostics *)
   volatiles : (int, unit) Hashtbl.t;  (** var ids declared volatile *)
 }
 
@@ -23,18 +22,9 @@ val var : t -> string -> Ids.Var.t
 val lock : t -> string -> Ids.Lock.t
 val label : t -> string -> Ids.Label.t
 
-val site : t -> string -> int
-(** Interns a source-location string, returning its id. *)
-
 val var_name : t -> Ids.Var.t -> string
 val lock_name : t -> Ids.Lock.t -> string
 val label_name : t -> Ids.Label.t -> string
-
-val site_name : t -> int -> string
-(** ["?"] for the unknown site [-1]. *)
-
-val no_site : int
-(** The id used when an event has no source location. *)
 
 val set_volatile : t -> Ids.Var.t -> unit
 (** Declare a variable volatile. Race detectors exempt volatiles from

@@ -19,7 +19,6 @@ let tid = function
 let var_of = function Read (_, x) | Write (_, x) -> Some x | _ -> None
 let lock_of = function Acquire (_, m) | Release (_, m) -> Some m | _ -> None
 let is_write = function Write _ -> true | _ -> false
-let is_access = function Read _ | Write _ -> true | _ -> false
 
 let conflicts a b =
   Tid.equal (tid a) (tid b)

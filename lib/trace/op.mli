@@ -25,9 +25,6 @@ val conflicts : t -> t -> bool
     the same thread. Conflicting operations may not be commuted when
     searching for an equivalent serial trace. *)
 
-val is_access : t -> bool
-(** True for [Read] and [Write]. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -50,7 +50,7 @@ let to_channel (names : Names.t) trace oc =
   output_dict oc names.Names.vars;
   output_dict oc names.Names.locks;
   output_dict oc names.Names.labels;
-  output_dict oc names.Names.sites;
+  output_varint oc 0 (* the reserved dictionary, always empty *);
   let volatiles =
     Hashtbl.fold (fun id () acc -> id :: acc) names.Names.volatiles []
     |> List.sort compare
@@ -200,7 +200,7 @@ let reader_of_channel ic =
   input_dict s names.Names.vars;
   input_dict s names.Names.locks;
   input_dict s names.Names.labels;
-  input_dict s names.Names.sites;
+  input_dict s (Symtab.create ()) (* reserved: checked, then dropped *);
   let nvol = input_varint s in
   let prev = ref (-1) in
   for _ = 1 to nvol do
@@ -222,7 +222,6 @@ let reader_of_channel ic =
   }
 
 let reader_names r = r.names
-let reader_length r = r.length
 
 (* The running id of one operand kind plus the next delta. *)
 let input_id s kind last =
@@ -264,23 +263,10 @@ let check_end r =
     corrupt_at s "trailing garbage after end marker"
   end
 
-let consume r fn =
-  if r.consumed then invalid_arg ("Trace_codec." ^ fn ^ ": reader already used");
-  r.consumed <- true
-
-let fold_events r ~init ~f =
-  consume r "fold_events";
-  let acc = ref init in
-  for index = 0 to r.length - 1 do
-    acc := f !acc (Event.make ~index (input_op r))
-  done;
-  check_end r;
-  !acc
-
-(* Its own loop rather than [fold_events] with an adapter, which would
-   be one more closure call per event. *)
 let iter_events r f =
-  consume r "iter_events";
+  if r.consumed then
+    invalid_arg "Trace_codec.iter_events: reader already used";
+  r.consumed <- true;
   for index = 0 to r.length - 1 do
     f (Event.make ~index (input_op r))
   done;
@@ -288,8 +274,9 @@ let iter_events r f =
 
 let of_channel ic =
   let r = reader_of_channel ic in
-  let ops_rev = fold_events r ~init:[] ~f:(fun acc e -> e.Event.op :: acc) in
-  (r.names, Trace.of_ops (List.rev ops_rev))
+  let ops_rev = ref [] in
+  iter_events r (fun e -> ops_rev := e.Event.op :: !ops_rev);
+  (r.names, Trace.of_ops (List.rev !ops_rev))
 
 let read_file path =
   let ic = open_in_bin path in

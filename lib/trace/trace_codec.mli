@@ -8,7 +8,7 @@
 
     {v
     "VELB"  version            magic + format version (varint)
-    dicts   vars locks labels sites
+    dicts   vars locks labels reserved
                                interned-name dictionaries, id order
     volatiles                  ascending delta-encoded var ids
     count                      number of events (varint)
@@ -25,8 +25,11 @@
     with no hashing at all.
 
     Encoding then decoding reproduces the trace {e and} the name
-    environment exactly: all four dictionaries are written in full (even
-    names no event mentions) together with the volatile set.
+    environment exactly: the three name dictionaries are written in full
+    (even names no event mentions) together with the volatile set. The
+    fourth dictionary is a reserved slot: writers leave it empty, and
+    readers check it like the others (lengths, duplicates) and then
+    discard its names.
 
     Readers never trust the input: a wrong magic, an unknown version, a
     reserved tag bit, an out-of-range id, a name longer than the bytes
@@ -72,13 +75,9 @@ val reader_of_channel : in_channel -> reader
     Raises {!Corrupt} on malformed input. *)
 
 val reader_names : reader -> Names.t
-val reader_length : reader -> int
-
-val fold_events : reader -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
-(** Decodes all events in order, threading the accumulator. Event
-    indices count from 0. After the last event the end marker is
-    verified and trailing bytes are rejected; raises {!Corrupt} if the
-    stream is truncated or damaged. Single-shot: a reader cannot be
-    folded twice. *)
 
 val iter_events : reader -> (Event.t -> unit) -> unit
+(** Decodes all events in order. Event indices count from 0. After the
+    last event the end marker is verified and trailing bytes are
+    rejected; raises {!Corrupt} if the stream is truncated or damaged.
+    Single-shot: a reader cannot be iterated twice. *)

@@ -27,10 +27,6 @@ let add_edge g u v =
     g.edges <- g.edges + 1
   end
 
-let successors g u =
-  check g u;
-  Hashtbl.fold (fun v () acc -> v :: acc) g.succ.(u) []
-
 let iter_edges g f =
   for u = 0 to g.n - 1 do
     Hashtbl.iter (fun v () -> f u v) g.succ.(u)

@@ -19,7 +19,6 @@ val add_edge : t -> int -> int -> unit
     [Invalid_argument] on out-of-range nodes. *)
 
 val mem_edge : t -> int -> int -> bool
-val successors : t -> int -> int list
 val iter_edges : t -> (int -> int -> unit) -> unit
 
 val has_cycle : t -> bool

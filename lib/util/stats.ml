@@ -2,15 +2,6 @@ let mean a =
   let n = Array.length a in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n
 
-let stddev a =
-  let n = Array.length a in
-  if n < 2 then 0.0
-  else begin
-    let m = mean a in
-    let sq = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 a in
-    sqrt (sq /. float_of_int n)
-  end
-
 let median a =
   let n = Array.length a in
   if n = 0 then 0.0

@@ -3,9 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0.0 on an empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation; 0.0 on arrays shorter than 2. *)
-
 val median : float array -> float
 (** Median (average of middle two for even lengths); 0.0 on empty. *)
 

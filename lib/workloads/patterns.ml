@@ -28,17 +28,6 @@ let staggered ~period ~iter stmt =
     }
     [ stmt ] []
 
-let check_then_act b ~label:l ~lock:m ~guard:g ~var:x =
-  let tg = fresh_reg b in
-  let tx = fresh_reg b in
-  atomic (label b l)
-    [
-      read tg g;
-      if_ (r tg ==: i 0)
-        (sync m [ read tx x; write x (r tx +: i 1); write g (i 1) ])
-        [];
-    ]
-
 let config_reader b ~label:l ~a ~b:bv ~sink =
   let ta = fresh_reg b in
   let tb = fresh_reg b in

@@ -9,7 +9,6 @@
     - {!locked_rmw}: read-modify-write under a lock — atomic.
     - {!racy_rmw}: unsynchronized read-modify-write — the classic real
       violation both the Atomizer and Velodrome catch.
-    - {!check_then_act}: racy test-and-update — real violation.
     - {!config_reader}: reads initialization-time data without locks
       inside an atomic block — serializable (the data is read-only by
       then) but a classic Atomizer {e false alarm}, since the lockset of
@@ -45,13 +44,6 @@ val staggered : period:int -> iter:Ast.reg -> Ast.stmt -> Ast.stmt
     different logical times. Wrapping {!rare_rmw} in this makes the
     violating interleaving genuinely rare: conflicting writes exist but
     almost never fall inside another thread's window. *)
-
-val check_then_act :
-  Builder.t -> label:string -> lock:Lock.t -> guard:Var.t -> var:Var.t ->
-  Ast.stmt
-(** Reads [guard] without the lock, then — when the guard was 0 — updates
-    [var] under the lock and sets the guard. The window between check and
-    act is the violation. *)
 
 val config_reader :
   Builder.t -> label:string -> a:Var.t -> b:Var.t -> sink:Var.t option ->

@@ -52,7 +52,6 @@ let names_equal a b =
   symtab_dump a.Names.vars = symtab_dump b.Names.vars
   && symtab_dump a.Names.locks = symtab_dump b.Names.locks
   && symtab_dump a.Names.labels = symtab_dump b.Names.labels
-  && symtab_dump a.Names.sites = symtab_dump b.Names.sites
   && volatile_dump a = volatile_dump b
 
 (* --- round-trips ------------------------------------------------------------ *)
@@ -76,7 +75,6 @@ let test_names_preserved_exactly () =
   let _v2 = Names.var names "unused" in
   let m = Names.lock names "account" in
   let l = Names.label names "Teller.deposit" in
-  let _site = Names.site names "Bank.java:42" in
   Names.set_volatile names v1;
   let tr = Trace.of_ops [ Op.Begin (t0, l); Op.Acquire (t0, m); Op.Write (t0, v1); Op.Release (t0, m); Op.End t0 ] in
   let names', tr' = roundtrip names tr in
@@ -263,7 +261,7 @@ let test_cuts_report_length () =
 (* --- allocation ------------------------------------------------------------- *)
 
 (* Streaming decode allocates the returned events and nothing per event
-   beyond them: an [Op.t] (at most 3 words) plus an [Event.t] (4 words). *)
+   beyond them: an [Op.t] (at most 3 words) plus an [Event.t] (3 words). *)
 let test_decode_allocation () =
   let _, tr, s = Lazy.force big_encoding in
   let events = Trace.length tr in
@@ -278,7 +276,7 @@ let test_decode_allocation () =
           check bool
             (Printf.sprintf "%.0f words for %d events" words events)
             true
-            (words <= float_of_int ((7 * events) + 1024))))
+            (words <= float_of_int ((6 * events) + 1024))))
 
 (* Text parsing allocates the returned operation and nothing else per
    line once every name is interned: at most 3 words per event. *)

@@ -31,7 +31,7 @@ let test_step_extremes () =
 
 let test_pool_stale_step_detection () =
   let p = Pool.create () in
-  let n = Pool.alloc p ~tid:0 ~label:0 ~event:0 in
+  let n = Pool.alloc p ~tid:0 ~label:0 in
   Pool.set_active p n true;
   let ts = Pool.fresh_ts n in
   let s = Pool.step_of n ~ts in
@@ -41,7 +41,7 @@ let test_pool_stale_step_detection () =
   check bool "collected" false (Pool.is_live n);
   check bool "stale step is bottom" true (Pool.resolve p s = None);
   (* Recycle the slot; the old step must remain stale. *)
-  let n2 = Pool.alloc p ~tid:1 ~label:1 ~event:1 in
+  let n2 = Pool.alloc p ~tid:1 ~label:1 in
   check int "slot recycled" (Pool.slot n) (Pool.slot n2);
   check bool "old step still stale" true (Pool.resolve p s = None);
   let s2 = Pool.step_of n2 ~ts:(Pool.fresh_ts n2) in
@@ -49,8 +49,8 @@ let test_pool_stale_step_detection () =
 
 let test_pool_refcount_keeps_alive () =
   let p = Pool.create () in
-  let a = Pool.alloc p ~tid:0 ~label:0 ~event:0 in
-  let b = Pool.alloc p ~tid:1 ~label:1 ~event:1 in
+  let a = Pool.alloc p ~tid:0 ~label:0 in
+  let b = Pool.alloc p ~tid:1 ~label:1 in
   Pool.set_active p a true;
   Pool.set_active p b true;
   let tsa = Pool.fresh_ts a in
@@ -68,8 +68,8 @@ let test_pool_refcount_keeps_alive () =
 
 let test_pool_cycle_detected_and_rejected () =
   let p = Pool.create () in
-  let a = Pool.alloc p ~tid:0 ~label:0 ~event:0 in
-  let b = Pool.alloc p ~tid:1 ~label:1 ~event:1 in
+  let a = Pool.alloc p ~tid:0 ~label:0 in
+  let b = Pool.alloc p ~tid:1 ~label:1 in
   Pool.set_active p a true;
   Pool.set_active p b true;
   let e1 = Pool.add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:2 () in
@@ -87,9 +87,9 @@ let test_pool_cycle_detected_and_rejected () =
 
 let test_pool_transitive_cycle () =
   let p = Pool.create () in
-  let a = Pool.alloc p ~tid:0 ~label:0 ~event:0 in
-  let b = Pool.alloc p ~tid:1 ~label:1 ~event:1 in
-  let c = Pool.alloc p ~tid:2 ~label:2 ~event:2 in
+  let a = Pool.alloc p ~tid:0 ~label:0 in
+  let b = Pool.alloc p ~tid:1 ~label:1 in
+  let c = Pool.alloc p ~tid:2 ~label:2 in
   List.iter (fun n -> Pool.set_active p n true) [ a; b; c ];
   ignore (Pool.add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:1 ());
   ignore (Pool.add_edge p ~src:b ~src_ts:2 ~dst:c ~dst_ts:1 ());
@@ -99,7 +99,7 @@ let test_pool_transitive_cycle () =
 
 let test_pool_self_edge_filtered () =
   let p = Pool.create () in
-  let a = Pool.alloc p ~tid:0 ~label:0 ~event:0 in
+  let a = Pool.alloc p ~tid:0 ~label:0 in
   Pool.set_active p a true;
   check bool "self edge" true
     (Pool.add_edge p ~src:a ~src_ts:1 ~dst:a ~dst_ts:2 () = `Self)
@@ -516,11 +516,11 @@ let test_engine_stress () =
 let clear_work_of_free k =
   let p = Pool.create () in
   for i = 0 to k - 1 do
-    let n = Pool.alloc p ~tid:0 ~label:i ~event:i in
+    let n = Pool.alloc p ~tid:0 ~label:i in
     Pool.set_active p n true
   done;
-  let a = Pool.alloc p ~tid:1 ~label:(-1) ~event:k in
-  let b = Pool.alloc p ~tid:1 ~label:(-1) ~event:(k + 1) in
+  let a = Pool.alloc p ~tid:1 ~label:(-1) in
+  let b = Pool.alloc p ~tid:1 ~label:(-1) in
   Pool.set_active p a true;
   Pool.set_active p b true;
   (match Pool.add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:1 () with

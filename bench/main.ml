@@ -6,10 +6,9 @@
    - [--statics]: BENCH_statics.json, what the static pre-pass proves and
      how long it takes;
    - [--predict]: BENCH_predict.json, witness-guided prediction against
-     adversarial scheduling;
-   - [--serve]: BENCH_serve.json, the serve pool's 1-to-8 domain sweep.
+     adversarial scheduling.
 
-   No suite flag runs all four; [--smoke] shrinks every fixture. The paper's
+   No suite flag runs all three; [--smoke] shrinks every fixture. The paper's
    tables and studies are printed by [velodrome table1], [table2] and
    [study]; the end-to-end speed benchmark is [perfbench/].
 
@@ -542,131 +541,6 @@ let run_predict_benches ~smoke =
     (List.length workload_rows)
     progen_count
 
-(* --- Multicore serve throughput (BENCH_serve.json) --------------------------- *)
-
-(* Sweeps the serve domain pool over a generated corpus of complete
-   [.velb] streams — the production shape: many independent client
-   traces, one checker — and reports per-domain-count throughput, queue
-   wait and the resident-stream high-water mark. [cores] records what
-   the host actually offers so the validator can judge the scaling
-   numbers honestly: on a single-core container an 8-domain pool cannot
-   and should not show a speedup. *)
-
-module Serve = Velodrome_serve.Serve
-
-type serve_row = {
-  sv_domains : int;
-  sv_streams : int;
-  sv_events : int;
-  sv_warnings : int;
-  sv_eps : float;
-  sv_wait_ms_mean : float;
-  sv_max_resident : int;
-  sv_queue_capacity : int;
-}
-
-let write_serve_corpus dir ~streams ~steps =
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  List.init streams (fun k ->
-      let names = Names.create () in
-      let trace =
-        synthetic_trace ~steps
-          ~threads:(2 + (k mod 6))
-          ~vars:(4 + (k mod 29))
-          ~locks:(1 + (k mod 4))
-          ~seed:(1000 + k)
-      in
-      let path = Filename.concat dir (Printf.sprintf "stream-%03d.velb" k) in
-      Velodrome_trace.Trace_codec.write_file names trace path;
-      path)
-
-let serve_backends names =
-  [ Velodrome_analysis.Backend.make (Velodrome_core.Engine.backend ()) names ]
-
-let serve_bench_row ~paths domains =
-  let s =
-    Serve.run ~jobs:domains ~backends:serve_backends
-      ~on_result:(fun _ -> ())
-      paths
-  in
-  let secs = Int64.to_float s.Serve.elapsed_ns /. 1e9 in
-  {
-    sv_domains = domains;
-    sv_streams = s.Serve.streams;
-    sv_events = s.Serve.events;
-    sv_warnings = s.Serve.warnings;
-    sv_eps = (if secs > 0. then float_of_int s.Serve.events /. secs else 0.);
-    sv_wait_ms_mean =
-      (if s.Serve.streams > 0 then
-         Int64.to_float s.Serve.queue_wait_ns /. 1e6
-         /. float_of_int s.Serve.streams
-       else 0.);
-    sv_max_resident = s.Serve.max_resident;
-    sv_queue_capacity = s.Serve.queue_capacity;
-  }
-
-let serve_row_json ~cores r =
-  let open Velodrome_util.Json in
-  Obj
-    [
-      ("domains", Int r.sv_domains);
-      ("cores", Int cores);
-      ("streams", Int r.sv_streams);
-      ("events", Int r.sv_events);
-      ("warnings", Int r.sv_warnings);
-      ("events_per_sec", Float r.sv_eps);
-      ("queue_wait_ms_mean", Float r.sv_wait_ms_mean);
-      ("max_resident_streams", Int r.sv_max_resident);
-      ("queue_capacity", Int r.sv_queue_capacity);
-    ]
-
-let run_serve_benches ~smoke =
-  let streams = if smoke then 40 else 200 in
-  let steps = if smoke then 2_000 else 10_000 in
-  let cores = Domain.recommended_domain_count () in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "velodrome-serve-bench-%d" (Unix.getpid ()))
-  in
-  let paths = write_serve_corpus dir ~streams ~steps in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () ->
-      let rows = List.map (serve_bench_row ~paths) [ 1; 2; 4; 8 ] in
-      Printf.printf "%8s %8s %9s %12s %13s %13s %10s\n" "domains" "streams"
-        "events" "events/s" "wait-ms-mean" "max-resident" "queue-cap";
-      List.iter
-        (fun r ->
-          Printf.printf "%8d %8d %9d %12.0f %13.2f %13d %10d\n" r.sv_domains
-            r.sv_streams r.sv_events r.sv_eps r.sv_wait_ms_mean
-            r.sv_max_resident r.sv_queue_capacity)
-        rows;
-      (match rows with
-      | base :: _ ->
-        List.iter
-          (fun r ->
-            if r.sv_events <> base.sv_events || r.sv_warnings <> base.sv_warnings
-            then begin
-              Printf.printf
-                "serve: NONDETERMINISM at %d domains (events %d vs %d, \
-                 warnings %d vs %d)\n"
-                r.sv_domains r.sv_events base.sv_events r.sv_warnings
-                base.sv_warnings;
-              exit 1
-            end)
-          rows
-      | [] -> ());
-      let oc = open_out "BENCH_serve.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          Velodrome_util.Json.to_channel oc
-            (Velodrome_util.Json.List (List.map (serve_row_json ~cores) rows)));
-      Printf.printf "wrote BENCH_serve.json (%d sweeps, %d cores)\n"
-        (List.length rows) cores)
-
 let suites =
   [
     ("--engine", "Engine checking throughput", run_engine_benches);
@@ -674,7 +548,6 @@ let suites =
     ( "--predict",
       "Witness-guided prediction vs adversarial scheduling",
       run_predict_benches );
-    ("--serve", "Multicore serve throughput", run_serve_benches);
   ]
 
 let () =

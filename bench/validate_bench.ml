@@ -7,7 +7,7 @@
 
    Usage: validate_bench.exe FILE KIND [FILE KIND ...]
           validate_bench.exe --same-counts OLD NEW KIND
-   where KIND is one of engine | statics | serve (flat row tables) or
+   where KIND is one of engine | statics (flat row tables) or
    analyze | predict (nested report documents). --same-counts checks NEW
    and fails when any of its count fields differs from OLD's. *)
 
@@ -47,18 +47,6 @@ let schema = function
       ("proved_values_delta", I);
       ("analysis_ms", N);
       ("values_analysis_ms", N);
-    ]
-  | "serve" ->
-    [
-      ("domains", I);
-      ("cores", I);
-      ("streams", I);
-      ("events", I);
-      ("warnings", I);
-      ("events_per_sec", N);
-      ("queue_wait_ms_mean", N);
-      ("max_resident_streams", I);
-      ("queue_capacity", I);
     ]
   | kind -> failwith (Printf.sprintf "unknown bench kind %S" kind)
 
@@ -102,90 +90,6 @@ let check_row ~file ~kind i row =
 (* --- nested report documents (analyze, predict) --------------------------- *)
 
 let fail ctx msg = failwith (Printf.sprintf "%s: %s" ctx msg)
-
-(* BENCH_serve.json: beyond field shapes, the sweep must witness the
-   serve-mode claims. Determinism: every domain count replays the same
-   corpus, so events and warnings must match exactly across rows.
-   Bounded memory: the resident-stream high-water mark can never exceed
-   the backpressure window (queue capacity + worker domains). Scaling:
-   judged against the cores the host actually offers — full 3x at 8+
-   cores, pro-rated below, and on a single core only a sanity bound
-   (the pool must not collapse), since parallel speedup there is
-   physically impossible. *)
-let check_serve_rows file rows =
-  let ctx = file in
-  let fields_of = function
-    | Json.Obj f -> f
-    | _ -> fail ctx "row is not an object"
-  in
-  let int_of r name =
-    match List.assoc_opt name (fields_of r) with
-    | Some (Json.Int n) -> n
-    | _ -> fail ctx (Printf.sprintf "field %S is not an int" name)
-  in
-  let num_of r name =
-    match List.assoc_opt name (fields_of r) with
-    | Some (Json.Int n) -> float_of_int n
-    | Some (Json.Float f) -> f
-    | _ -> fail ctx (Printf.sprintf "field %S is not numeric" name)
-  in
-  let base = List.hd rows in
-  List.iter
-    (fun r ->
-      if int_of r "streams" <> int_of base "streams" then
-        fail ctx "streams differ across domain counts";
-      if int_of r "events" <> int_of base "events" then
-        fail ctx
-          (Printf.sprintf
-             "nondeterministic sweep: %d domains replayed %d events, %d \
-              domains replayed %d"
-             (int_of base "domains") (int_of base "events") (int_of r "domains")
-             (int_of r "events"));
-      if int_of r "warnings" <> int_of base "warnings" then
-        fail ctx
-          (Printf.sprintf
-             "nondeterministic sweep: warning counts differ (%d vs %d)"
-             (int_of base "warnings") (int_of r "warnings"));
-      let bound = int_of r "queue_capacity" + int_of r "domains" in
-      if int_of r "max_resident_streams" > bound then
-        fail ctx
-          (Printf.sprintf
-             "backpressure breached: %d resident streams at %d domains, \
-              bound %d"
-             (int_of r "max_resident_streams") (int_of r "domains") bound);
-      if num_of r "events_per_sec" <= 0. then
-        fail ctx "events_per_sec is not positive";
-      if num_of r "queue_wait_ms_mean" < 0. then
-        fail ctx "queue_wait_ms_mean is negative")
-    rows;
-  let row_at d = List.find_opt (fun r -> int_of r "domains" = d) rows in
-  let widest =
-    List.fold_left
-      (fun acc r ->
-        match acc with
-        | Some b when int_of b "domains" >= int_of r "domains" -> acc
-        | _ -> Some r)
-      None rows
-  in
-  match (row_at 1, widest) with
-  | Some one, Some wide when int_of wide "domains" > 1 ->
-    let speedup = num_of wide "events_per_sec" /. num_of one "events_per_sec" in
-    let cores = int_of one "cores" in
-    let floor_required =
-      if cores >= 8 then 3.0
-      else if cores >= 4 then 2.0
-      else if cores >= 2 then 1.2
-      else 0.1 (* single core: the pool must not collapse under overhead *)
-    in
-    if speedup < floor_required then
-      fail ctx
-        (Printf.sprintf
-           "scaling gate: %d-domain throughput is %.2fx the 1-domain run, \
-            need >= %.1fx on %d core(s)"
-           (int_of wide "domains") speedup floor_required cores);
-    Printf.printf "%s: scaling %.2fx at %d domains on %d core(s) (gate %.1fx)\n"
-      file speedup (int_of wide "domains") cores floor_required
-  | _ -> fail ctx "sweep must include a 1-domain row and a multi-domain row"
 
 let obj_fields ctx = function
   | Json.Obj fields -> fields
@@ -437,7 +341,6 @@ let check_file file kind =
   | Ok (Json.List []) -> failwith (Printf.sprintf "%s: no rows" file)
   | Ok (Json.List rows) ->
     List.iteri (check_row ~file ~kind) rows;
-    if kind = "serve" then check_serve_rows file rows;
     Printf.printf "%s: %d %s rows ok\n" file (List.length rows) kind
   | Ok _ -> failwith (Printf.sprintf "%s: top level is not an array" file)
 

@@ -75,5 +75,3 @@ val dedup_by_label : t list -> t list
 (** Keep the first warning for each (analysis, kind, label) triple —
     the paper's "distinct warnings per method" counting. Warnings without
     a label are deduplicated by (analysis, kind, var, tid). *)
-
-val kind_to_string : kind -> string

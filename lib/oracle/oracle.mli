@@ -21,10 +21,6 @@
     blamed transaction must not be self-serializable (Section 4.3). *)
 
 open Velodrome_trace
-open Velodrome_util
-
-val conflict_graph : Trace.t -> Txn.segmentation * Digraph.t
-(** Node [i] of the graph is transaction [i] of the segmentation. *)
 
 val serializable : Trace.t -> bool
 

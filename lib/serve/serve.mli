@@ -29,7 +29,7 @@
       resident state (waiting streams, per-worker engine state, buffered
       results) stays bounded no matter how many streams are served.
       {!stats.max_resident} reports the observed high-water mark; the
-      bench validator enforces the bound.
+      tests check the bound.
     - {b No dead worker.} A stream whose check raises becomes that
       stream's [Failed] outcome and the worker keeps serving. *)
 
@@ -58,9 +58,6 @@ type stats = {
       (** admitted streams that may wait for a worker: [2 * jobs] *)
 }
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val run :
   ?jobs:int ->
   ?format:Velodrome_stream.Driver.format ->
@@ -71,8 +68,9 @@ val run :
 (** [run ~backends ~on_result paths] checks every file in [paths] and
     calls [on_result] for each, on the calling domain, in list order.
     [backends] is called once per stream, inside the worker domain, with
-    that stream's name environment. [jobs] defaults to
-    {!default_jobs}[ ()] clamped to the number of streams; [format]
+    that stream's name environment. [jobs] (default
+    [Domain.recommended_domain_count ()]) is clamped to the number of
+    streams, and that many worker domains are spawned; [format]
     (default [`Human]) is the one format each stream's warnings are
     rendered in. An exception raised while checking a stream becomes
     its [Failed] outcome, with {!Velodrome_stream.Driver.error_line}'s

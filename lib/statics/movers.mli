@@ -52,5 +52,4 @@ val at_site : t -> Cfg.site -> klass option
 (** [None] for sites with no observable effect (silent statements). *)
 
 val pp_klass : Names.t -> Format.formatter -> klass -> unit
-val pp_why_both : Names.t -> Format.formatter -> why_both -> unit
 val pp_why_non : Format.formatter -> why_non -> unit

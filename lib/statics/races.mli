@@ -32,8 +32,6 @@ type access = {
 type pair = { var : Var.t; a : access; b : access }
 (** Canonically oriented: [Cfg.site_compare a.site b.site <= 0]. *)
 
-val pair_compare : pair -> pair -> int
-
 type t
 
 val analyze :

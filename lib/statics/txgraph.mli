@@ -108,13 +108,6 @@ val witnesses_for : t -> Cfg.site -> witness list
 
 val stats : t -> stats
 
-val op_string : t -> Cfg.node -> string
-(** ["t2:w(x)"]-style rendering of an effectful node. *)
-
-val op_site_string : t -> Cfg.node -> string
-(** {!op_string} with the structural source position appended:
-    ["t2:w(x)@1.0"]. *)
-
 val explain : t -> witness -> string
 (** One-line human cycle summary; every op carries its source position. *)
 

@@ -18,7 +18,6 @@ type itv = Bot | Itv of bound * bound
 let limit = 1 lsl 30
 
 let top = Itv (Neg_inf, Pos_inf)
-let bot = Bot
 
 let bcmp a b =
   match (a, b) with

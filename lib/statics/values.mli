@@ -45,7 +45,6 @@ val limit : int
     simulator's wrapping native-int arithmetic. *)
 
 val top : itv
-val bot : itv
 
 val const : int -> itv
 (** Singleton; {!top} when the constant's magnitude exceeds {!limit}. *)
@@ -55,7 +54,6 @@ val interval : int -> int -> itv
     beyond {!limit}. *)
 
 val mem : int -> itv -> bool
-val is_singleton : itv -> int option
 val leq : itv -> itv -> bool
 val join : itv -> itv -> itv
 val meet : itv -> itv -> itv

@@ -16,10 +16,10 @@
     their soundness and completeness statements quantify over.
 
     An optional [progress] callback observes engine statistics every
-    [every] events and once more after the final event, for long-running
-    ingestion jobs (events consumed, OCaml GC pressure, and — when the
-    caller supplies a probe — live happens-before nodes, the paper's
-    reference-counting GC metric). *)
+    [every] events (default 100_000) and once more after the final
+    event, for long-running ingestion jobs (events consumed, OCaml GC
+    pressure, and — when the caller supplies a probe — live
+    happens-before nodes, the paper's reference-counting GC metric). *)
 
 open Velodrome_analysis
 
@@ -32,9 +32,6 @@ type stats = {
   minor_collections : int;  (** OCaml minor GC cycles so far *)
   major_collections : int;  (** OCaml major GC cycles so far *)
 }
-
-val default_interval : int
-(** Events between progress reports (100_000). *)
 
 exception Interrupted of { events : int; error : exn }
 (** Raised when the stream fails mid-way (a truncated [.velb], a

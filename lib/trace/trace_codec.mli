@@ -52,9 +52,6 @@ val magic : string
 val version : int
 (** The format version this build writes and accepts. *)
 
-val to_channel : Names.t -> Trace.t -> out_channel -> unit
-val of_channel : in_channel -> Names.t * Trace.t
-
 val write_file : Names.t -> Trace.t -> string -> unit
 val read_file : string -> Names.t * Trace.t
 

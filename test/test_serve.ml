@@ -465,6 +465,38 @@ let test_run_on_result_raises () =
       check int "one job for no streams" 1 stats.Serve.jobs;
       check int "nothing resident" 0 stats.Serve.max_resident)
 
+(* [Serve.run ~jobs:3] checks three streams at once, on any core count:
+   each stream's [backends] call waits until all three have arrived, which
+   only happens when three worker domains hold a stream each. A pool with
+   fewer workers reaches the deadline instead, and the stream that waited
+   in vain fails. *)
+let test_run_concurrency () =
+  with_dir "serve-concurrency" (fun dir ->
+      let paths = List.init 3 (gen_stream dir) in
+      let arrived = Atomic.make 0 and peak = Atomic.make 0 in
+      let deadline =
+        Int64.add (Velodrome_util.Mclock.now_ns ()) 10_000_000_000L
+      in
+      let barrier names =
+        Atomic.incr arrived;
+        while
+          Atomic.get arrived < 3 && Velodrome_util.Mclock.now_ns () < deadline
+        do
+          Domain.cpu_relax ()
+        done;
+        (* The first stream to leave sees the fewest arrivals. *)
+        let n = Atomic.get arrived in
+        ignore (Atomic.compare_and_set peak 0 n : bool);
+        if n < 3 then
+          failwith
+            (Printf.sprintf "%d of 3 streams in flight at the deadline" n);
+        backends names
+      in
+      let stats = Serve.run ~jobs:3 ~backends:barrier ~on_result:ignore paths in
+      check int "three worker domains" 3 stats.Serve.jobs;
+      check int "three streams in flight at once" 3 (Atomic.get peak);
+      check int "no stream failed" 0 stats.Serve.failed)
+
 let suite =
   ( "serve",
     [
@@ -492,4 +524,6 @@ let suite =
       Alcotest.test_case "pool: multi-domain stress" `Quick test_pool_stress;
       Alcotest.test_case "run: on_result raising, stats bounds" `Quick
         test_run_on_result_raises;
+      Alcotest.test_case "run: jobs 3 checks three streams at once" `Quick
+        test_run_concurrency;
     ] )

@@ -686,14 +686,20 @@ let dense_names () =
   done;
   names
 
-let dense_events seed =
+let shape_events ~threads ~vars ~locks seed =
   let cfg =
-    { Gen.default with threads = 8; vars = 2; locks = 1; labels = 8;
-      steps = 3_000; max_depth = 3 }
+    { Gen.default with threads; vars; locks; labels = 8; steps = 3_000;
+      max_depth = 3 }
   in
   Array.of_list
     (Event.of_ops
        (Trace.to_list (Gen.run (Velodrome_util.Rng.create seed) cfg)))
+
+let dense_events = shape_events ~threads:8 ~vars:2 ~locks:1
+
+(* The serve benchmark's wide shape: fewer cycles than the dense one, but
+   the longest paths (13 edges on average) and the most new reports. *)
+let wide_events = shape_events ~threads:16 ~vars:64 ~locks:8
 
 (* Each new key builds its error graph as data and a short verdict; the
    dot and the cycle summary are rendered only where a warning is
@@ -722,12 +728,12 @@ let test_engine_slow_path_allocation () =
    in another order reports other paths, blamed blocks and report keys:
    compacting out stale entries, which moves a returning reader to the
    end, already changes the warnings of seed 1. *)
-let test_engine_warning_pin () =
+let warning_pin events pins =
   let names = dense_names () in
   List.iter
     (fun (seed, count, digest) ->
       let eng = Engine.create names in
-      Array.iter (Engine.on_event eng) (dense_events seed);
+      Array.iter (Engine.on_event eng) (events seed);
       let ws = Engine.warnings eng in
       let text =
         String.concat "\n"
@@ -742,10 +748,22 @@ let test_engine_warning_pin () =
         (Printf.sprintf "seed %d: message and dot digest" seed)
         digest
         (Digest.to_hex (Digest.string text)))
+    pins
+
+let test_engine_warning_pin () =
+  warning_pin dense_events
     [
       (1, 249, "c220f7aed101fc5c199ae35c9d434cac");
       (2, 216, "2c74410282e714f4d60b95b99e3088de");
       (3, 261, "ccfa078f03b7302f713960ba3b383906");
+    ]
+
+let test_engine_warning_pin_wide () =
+  warning_pin wide_events
+    [
+      (1, 289, "04d13ac96e5dd1882f725829b26f10ff");
+      (2, 274, "76c36e9580e53b0a6204452e7c6c419e");
+      (3, 304, "679f8d40ad4e381eb320271d396544a0");
     ]
 
 let suite =
@@ -802,5 +820,7 @@ let suite =
         test_engine_slow_path_allocation;
       Alcotest.test_case "dense warnings pinned" `Quick
         test_engine_warning_pin;
+      Alcotest.test_case "wide warnings pinned" `Quick
+        test_engine_warning_pin_wide;
       Alcotest.test_case "engine stress" `Slow test_engine_stress;
     ] )

@@ -21,17 +21,27 @@ open Velodrome_workloads
 
 (* --- shared helpers --------------------------------------------------------- *)
 
-(* Best-of-[repeats] wall time of [f] in seconds, on the monotonic clock
-   (gettimeofday can step under NTP). *)
+(* Wall time of [f] in seconds, on the monotonic clock (gettimeofday can
+   step under NTP). *)
+let time_once f =
+  let t0 = Mclock.now_ns () in
+  f ();
+  Int64.to_float (Int64.sub (Mclock.now_ns ()) t0) /. 1e9
+
+(* Best-of-[repeats] wall time of [f]. *)
 let time_best ~repeats f =
   let best = ref infinity in
   for _ = 1 to repeats do
-    let t0 = Mclock.now_ns () in
-    f ();
-    let dt = Int64.to_float (Int64.sub (Mclock.now_ns ()) t0) /. 1e9 in
-    if dt < !best then best := dt
+    best := Float.min !best (time_once f)
   done;
   !best
+
+(* Median wall time of [runs] calls of [f]: one fast or slow phase of a
+   shared host moves it less than it moves the best run. *)
+let time_median ~runs f =
+  let ts = Array.init runs (fun _ -> time_once f) in
+  Array.sort Float.compare ts;
+  ts.(runs / 2)
 
 let record_workload_trace name size seed =
   let w = Option.get (Workload.find name) in
@@ -101,7 +111,10 @@ let bytes_per_event ~events f =
    prefix. *)
 let basic_cap = 30_000
 
-let engine_bench_row ~repeats ~size_name ~names ~fixture trace =
+(* Each replay rate is the median of this many timed replays. *)
+let engine_runs = 5
+
+let engine_bench_row ~size_name ~names ~fixture trace =
   let events = events_of_trace trace in
   let n = Array.length events in
   let basic_events =
@@ -109,7 +122,8 @@ let engine_bench_row ~repeats ~size_name ~names ~fixture trace =
   in
   let nb = Array.length basic_events in
   let t_engine =
-    time_best ~repeats (fun () -> ignore (replay_engine_events ~names events))
+    time_median ~runs:engine_runs (fun () ->
+        ignore (replay_engine_events ~names events))
   in
   let eng = ref (replay_engine_events ~names [||]) in
   let engine_bpe =
@@ -118,13 +132,14 @@ let engine_bench_row ~repeats ~size_name ~names ~fixture trace =
         !eng)
   in
   let t_aero =
-    time_best ~repeats (fun () -> ignore (replay_aero_events ~names events))
+    time_median ~runs:engine_runs (fun () ->
+        ignore (replay_aero_events ~names events))
   in
   let aero_bpe =
     bytes_per_event ~events:n (fun () -> replay_aero_events ~names events)
   in
   let t_basic =
-    time_best ~repeats (fun () ->
+    time_median ~runs:engine_runs (fun () ->
         ignore (replay_basic_events ~names basic_events))
   in
   let basic_bpe =
@@ -175,14 +190,13 @@ let engine_row_json r =
     ]
 
 let run_engine_benches ~smoke =
-  let repeats = if smoke then 2 else 3 in
   let size = if smoke then Workload.Small else Workload.Medium in
   let size_name = if smoke then "small" else "medium" in
   let workload_rows =
     List.map
       (fun (w : Workload.t) ->
         let names, trace = record_workload_trace w.Workload.name size 42 in
-        engine_bench_row ~repeats ~size_name ~names ~fixture:w.Workload.name
+        engine_bench_row ~size_name ~names ~fixture:w.Workload.name
           trace)
       Workload.all
   in
@@ -192,7 +206,7 @@ let run_engine_benches ~smoke =
       (fun (name, threads, vars, locks) ->
         let names = Names.create () in
         let trace = synthetic_trace ~steps ~threads ~vars ~locks ~seed:2024 in
-        engine_bench_row ~repeats ~size_name:"synthetic" ~names ~fixture:name
+        engine_bench_row ~size_name:"synthetic" ~names ~fixture:name
           trace)
       [ ("synthetic-dense", 8, 2, 1); ("synthetic-wide", 16, 64, 8) ]
   in

@@ -32,9 +32,6 @@ type var_state = {
   mutable nreads : int;
 }
 
-(* Structural dedup key, built only once a cycle has been detected. *)
-type report_key = Blamed of int | Unblamed of (int * int) list
-
 type t = {
   names : Names.t;
   config : config;
@@ -43,14 +40,21 @@ type t = {
   locks : Step.t Vec.t;  (** dense, indexed by interned lock id *)
   vars : var_state Vec.t;  (** dense, indexed by interned var id *)
   mutable warnings_rev : Warning.t list;
-  reported : (report_key, unit) Hashtbl.t;
+  blamed_keys : Bitset.t;  (** labels already reported as blamed *)
+  unblamed_keys : (int, Error_graph.gnode list list) Hashtbl.t;
+      (** the node lists of the unblamed cycles already reported, by the
+          hash of their (tid, label) sequence: a signature is compared
+          with the graph its warning keeps, and stored nowhere else *)
   mutable cycles : int;
   mutable first_error : int option;
-  mutable pending : Pool.cycle list;
-      (** cycles detected while processing the current event; one event may
-          reject several edges (e.g. a write conflicting with both the
-          recorded reads and the recorded write), and blame should prefer
-          an increasing cycle among them *)
+  mutable ev_cycle : bool;
+      (** the current event rejected an edge. One event may reject several
+          (e.g. a write conflicting with both the recorded reads and the
+          recorded write), and blame prefers the first increasing cycle
+          among them, else the first cycle. *)
+  mutable ev_increasing : bool;  (** [chosen] is increasing: search no more *)
+  mutable chosen : Pool.path;  (** the current event's reported path *)
+  mutable spare : Pool.path;  (** where the event's later cycles are searched *)
   mutable mbuf : Step.t array;  (** merge scratch: live predecessor steps *)
   mutable mlen : int;
 }
@@ -67,10 +71,14 @@ let create ?(config = default_config) names =
     locks = Vec.create ();
     vars = Vec.create ();
     warnings_rev = [];
-    reported = Hashtbl.create 16;
+    blamed_keys = Bitset.create ();
+    unblamed_keys = Hashtbl.create 16;
     cycles = 0;
     first_error = None;
-    pending = [];
+    ev_cycle = false;
+    ev_increasing = false;
+    chosen = Pool.create_path ();
+    spare = Pool.create_path ();
     mbuf = Array.make 8 Step.bottom;
     mlen = 0;
   }
@@ -152,187 +160,207 @@ let stack_push st label ts =
   Array.unsafe_set st.stk_ts st.depth ts;
   st.depth <- st.depth + 1
 
-(* The open-block stack as the (label, begin ts) list the blame logic
-   wants: innermost first. Cold path only. *)
-let stack_innermost_first st =
-  let rec go i acc =
-    if i >= st.depth then acc
-    else go (i + 1) ((st.stk_labels.(i), st.stk_ts.(i)) :: acc)
-  in
-  go 0 []
-
 (* --- Error reporting --------------------------------------------------- *)
 
-let cycle_nodes (c : Pool.cycle) =
-  match c.Pool.path with
-  | [] -> []
-  | (first, _, _) :: _ ->
-    first :: List.map (fun (_, _, dst) -> dst) c.Pool.path
-
-let graph_of_cycle (c : Pool.cycle) ~closing_op ~blamed_slot =
-  let nodes =
-    List.map
-      (fun n ->
-        {
-          Error_graph.id = Pool.slot n;
-          tid = Pool.diag_tid n;
-          label = Pool.diag_label n;
-          blamed = Some (Pool.slot n) = blamed_slot;
-        })
-      (cycle_nodes c)
-  in
-  let edges =
-    List.map
-      (fun (src, (e : Pool.edge), dst) ->
-        {
-          Error_graph.src = Pool.slot src;
-          dst = Pool.slot dst;
-          op = e.Pool.diag_op;
-          closing = false;
-        })
-      c.Pool.path
-  in
-  let closing =
-    match (List.rev c.Pool.path, c.Pool.path) with
-    | (_, _, last) :: _, (first, _, _) :: _ ->
-      [
-        {
-          Error_graph.src = Pool.slot last;
-          dst = Pool.slot first;
-          op = Some closing_op;
-          closing = true;
-        };
-      ]
-    | _ -> []
-  in
-  { Error_graph.nodes; edges = edges @ closing }
+(* A detected cycle stays in a path buffer while it is evaluated: blame and
+   the report key read the path's edges and the stack arrays in place, and
+   only a key not seen before builds lists, a graph and a warning. *)
 
 (* A cycle [v -> n1 -> ... -> u -> v] is increasing when every node other
    than v enters on a timestamp no later than it leaves on (Section 4.3).
-   [path] runs v ⇒* u; the closing edge u -> v carries
-   [closing_tail_ts]/[closing_head_ts]. *)
-let is_increasing (c : Pool.cycle) =
-  let rec go = function
-    | [] -> true
-    | [ (_, (e : Pool.edge), _u) ] ->
-      (* u's incoming edge is [e]; its outgoing edge is the closing one. *)
-      e.Pool.head_ts <= c.Pool.closing_tail_ts
-    | (_, (e1 : Pool.edge), _) :: (((_, e2, _) :: _) as rest) ->
-      e1.Pool.head_ts <= (e2 : Pool.edge).Pool.tail_ts && go rest
-  in
-  go c.Pool.path
+   The path runs v ⇒* u; the closing edge u -> v leaves u at
+   [closing_tail_ts]. *)
+let rec increasing_from pool p ~closing_tail_ts i =
+  let head_ts = (Pool.path_edge pool p i).Pool.head_ts in
+  if i = Pool.path_length p - 1 then head_ts <= closing_tail_ts
+  else
+    head_ts <= (Pool.path_edge pool p (i + 1)).Pool.tail_ts
+    && increasing_from pool p ~closing_tail_ts (i + 1)
 
-(* Queue a detected cycle; the warning is built once per event by
-   [flush_pending], which prefers an increasing cycle when the event
-   produced several. *)
-let report_cycle t _st _e (c : Pool.cycle) = t.pending <- c :: t.pending
+(* An open block is refuted by an increasing cycle when it began no later
+   than the root operation, the one at which the current transaction's
+   edge on the cycle leaves it. A pseudo-block (label -1) wraps a unary
+   transaction in no-merge mode; unary transactions are trivially
+   self-serializable and never blamed. Index 0 is the outermost block. *)
+let refutes st ~root_ts i =
+  Array.unsafe_get st.stk_ts i <= root_ts
+  && Array.unsafe_get st.stk_labels i >= 0
 
-let emit_cycle_warning t st (e : Event.t) (c : Pool.cycle) =
-  let increasing = is_increasing c in
-  (* Root operation: the timestamp at which the current transaction's
-     outgoing edge on the cycle leaves it. *)
-  let root_ts =
-    match c.Pool.path with
-    | (_, edge, _) :: _ -> edge.Pool.tail_ts
-    | [] -> c.Pool.closing_tail_ts
+let rec first_refuted st ~root_ts i =
+  if i >= st.depth then -1
+  else if refutes st ~root_ts i then i
+  else first_refuted st ~root_ts (i + 1)
+
+(* The refuted labels, outermost first. *)
+let rec refuted_labels st ~root_ts i acc =
+  if i < 0 then acc
+  else
+    refuted_labels st ~root_ts (i - 1)
+      (if refutes st ~root_ts i then Label.of_int st.stk_labels.(i) :: acc
+       else acc)
+
+(* Distinct unblamed cycles are told apart by the (tid, label) sequence of
+   their nodes, hashed over the whole path and compared in full only with
+   the reported cycles of the same hash. *)
+let node_tid t p i = Pool.diag_tid (Pool.node_at t.pool (Pool.path_slot p i))
+
+let node_label t p i =
+  Pool.diag_label (Pool.node_at t.pool (Pool.path_slot p i))
+
+let rec signature_hash t p i h =
+  if i > Pool.path_length p then h land max_int
+  else
+    signature_hash t p (i + 1)
+      ((((h * 65599) + node_tid t p i) * 65599) + node_label t p i)
+
+let rec same_signature t p i (nodes : Error_graph.gnode list) =
+  match nodes with
+  | [] -> i > Pool.path_length p
+  | n :: rest ->
+    i <= Pool.path_length p
+    && n.Error_graph.tid = node_tid t p i
+    && n.Error_graph.label = node_label t p i
+    && same_signature t p (i + 1) rest
+
+let rec seen_in t p = function
+  | [] -> false
+  | nodes :: rest -> same_signature t p 0 nodes || seen_in t p rest
+
+let unblamed_reported t p =
+  match Hashtbl.find t.unblamed_keys (signature_hash t p 0 0) with
+  | seen -> seen_in t p seen
+  | exception Not_found -> false
+
+let record_unblamed t p nodes =
+  let h = signature_hash t p 0 0 in
+  let seen =
+    match Hashtbl.find t.unblamed_keys h with
+    | seen -> seen
+    | exception Not_found -> []
   in
-  let stack = stack_innermost_first st in
-  let refuted =
-    if increasing then
-      List.filter (fun (_, begin_ts) -> begin_ts <= root_ts) stack
-    else []
+  Hashtbl.replace t.unblamed_keys h (nodes :: seen)
+
+let graph_of_path t p ~closing_op ~blamed_slot =
+  let len = Pool.path_length p in
+  let nodes =
+    List.init (len + 1) (fun i ->
+        let slot = Pool.path_slot p i in
+        let n = Pool.node_at t.pool slot in
+        {
+          Error_graph.id = slot;
+          tid = Pool.diag_tid n;
+          label = Pool.diag_label n;
+          blamed = slot = blamed_slot;
+        })
   in
-  (* A pseudo-block (label -1) wraps a unary transaction in no-merge mode;
-     unary transactions are trivially self-serializable and never blamed. *)
-  let refuted = List.filter (fun (l, _) -> l >= 0) refuted in
-  let blamed = refuted <> [] in
-  (* The outermost refuted block is the method we report (inner refuted
-     blocks are mentioned; deeper, non-refuted blocks stay silent). *)
-  let outermost = List.rev refuted in
-  let primary_label =
-    match outermost with
-    | (l, _) :: _ when l >= 0 -> Some (Label.of_int l)
-    | _ -> (
-      (* Unblamed: attribute the report to the current outermost block so
-         the user can find it, but mark it unblamed. *)
-      match List.rev stack with
-      | (l, _) :: _ when l >= 0 -> Some (Label.of_int l)
-      | _ -> None)
+  (* The path's edges, then the closing edge back to node 0. *)
+  let edges =
+    List.init (len + 1) (fun i ->
+        if i = len then
+          {
+            Error_graph.src = Pool.path_slot p len;
+            dst = Pool.path_slot p 0;
+            op = Some closing_op;
+            closing = true;
+          }
+        else
+          {
+            Error_graph.src = Pool.path_slot p i;
+            dst = Pool.path_slot p (i + 1);
+            op = (Pool.path_edge t.pool p i).Pool.diag_op;
+            closing = false;
+          })
   in
-  let key =
-    match (blamed, primary_label) with
-    | true, Some l -> Blamed (Label.to_int l)
-    | _ ->
-      (* Distinct unblamed cycles are distinguished by their node
-         signature so repeats do not pile up. *)
-      Unblamed
-        (List.map
-           (fun n -> (Pool.diag_tid n, Pool.diag_label n))
-           (cycle_nodes c))
+  { Error_graph.nodes; edges }
+
+(* Report the cycle an event closed, once per key: one per blamed label
+   (the outermost refuted block; inner refuted blocks are mentioned,
+   deeper non-refuted ones stay silent), one per unblamed signature. *)
+let emit_cycle_warning t st (e : Event.t) p ~increasing =
+  let root_ts = (Pool.path_edge t.pool p 0).Pool.tail_ts in
+  let outermost = if increasing then first_refuted st ~root_ts 0 else -1 in
+  let blamed = outermost >= 0 in
+  (* Unblamed: attribute the report to the current outermost block so the
+     user can find it, but mark it unblamed. *)
+  let primary =
+    if blamed then st.stk_labels.(outermost)
+    else if st.depth > 0 then st.stk_labels.(0)
+    else -1
   in
-  if not (Hashtbl.mem t.reported key) then begin
-  Hashtbl.replace t.reported key ();
-  let blamed_slot = if blamed && st.cur >= 0 then Some st.cur else None in
-  (* The cycle stays data; Warning.message and the CLI's dot export
-     render it only for the warnings that get printed. *)
-  let cycle = graph_of_cycle c ~closing_op:e.Event.op ~blamed_slot in
-  let verdict =
-    if blamed then
-      Printf.sprintf "not self-serializable (refuted blocks: %s)"
-        (String.concat ", "
-           (List.map
-              (fun (l, _) ->
-                if l >= 0 then Names.label_name t.names (Label.of_int l)
-                else "(unary)")
-              outermost))
-    else "non-serializable trace (no single transaction blamed)"
+  let fresh =
+    if blamed then Bitset.add t.blamed_keys primary
+    else not (unblamed_reported t p)
   in
-  let warning =
-    Warning.make
-      ~analysis:(analysis_name t.config)
-      ~kind:Warning.Atomicity_violation ~tid:(Op.tid e.Event.op)
-      ?label:primary_label ~cycle ~blamed
-      ~refuted:(List.map (fun (l, _) -> Label.of_int l) outermost)
-      ~index:e.Event.index verdict
-  in
-  t.warnings_rev <- warning :: t.warnings_rev
+  if fresh then begin
+    let refuted =
+      if blamed then refuted_labels st ~root_ts (st.depth - 1) [] else []
+    in
+    let blamed_slot = if blamed then st.cur else -1 in
+    (* The cycle stays data; Warning.message and the CLI's dot export
+       render it only for the warnings that get printed. *)
+    let cycle = graph_of_path t p ~closing_op:e.Event.op ~blamed_slot in
+    if not blamed then record_unblamed t p cycle.Error_graph.nodes;
+    let verdict =
+      if blamed then
+        Printf.sprintf "not self-serializable (refuted blocks: %s)"
+          (String.concat ", " (List.map (Names.label_name t.names) refuted))
+      else "non-serializable trace (no single transaction blamed)"
+    in
+    let warning =
+      Warning.make
+        ~analysis:(analysis_name t.config)
+        ~kind:Warning.Atomicity_violation ~tid:(Op.tid e.Event.op)
+        ?label:(if primary >= 0 then Some (Label.of_int primary) else None)
+        ~cycle ~blamed ~refuted ~index:e.Event.index verdict
+    in
+    t.warnings_rev <- warning :: t.warnings_rev
   end
 
-let flush_pending t st (e : Event.t) =
-  match t.pending with
-  | [] -> ()
-  | cycles ->
-    t.pending <- [];
-    t.cycles <- t.cycles + 1;
-    if t.first_error = None then t.first_error <- Some e.Event.index;
-    let cycles = List.rev cycles in
-    let chosen =
-      match List.find_opt is_increasing cycles with
-      | Some c -> c
-      | None -> List.hd cycles
-    in
-    emit_cycle_warning t st e chosen
+(* The edge [src -> dst] was rejected: [dst ⇒* src] holds. Search the path
+   only while the event has no increasing cycle yet; the first path stays
+   in [chosen] as the fallback, and a later increasing one replaces it. *)
+let on_cycle t ~src ~src_ts ~dst =
+  if not t.ev_increasing then begin
+    let p = if t.ev_cycle then t.spare else t.chosen in
+    Pool.find_path t.pool p ~from:dst ~to_:src;
+    if increasing_from t.pool p ~closing_tail_ts:src_ts 0 then begin
+      t.ev_increasing <- true;
+      if p != t.chosen then begin
+        t.spare <- t.chosen;
+        t.chosen <- p
+      end
+    end
+  end;
+  t.ev_cycle <- true
+
+let flush_cycle t st (e : Event.t) =
+  t.ev_cycle <- false;
+  t.cycles <- t.cycles + 1;
+  if t.first_error = None then t.first_error <- Some e.Event.index;
+  emit_cycle_warning t st e t.chosen ~increasing:t.ev_increasing;
+  t.ev_increasing <- false
 
 (* --- Edges -------------------------------------------------------------- *)
 
 (* Add an edge from a live recorded step to the current transaction's new
-   step; report a cycle if one would form. A step of [dst] itself is a
+   step; note a cycle if one would form. A step of [dst] itself is a
    self-edge, which the pool would filter: return before building the
    edge's diagnostic operation. *)
-let edge_from_live t st ~src ~dst ~dst_ts (e : Event.t) =
-  if Step.slot_unchecked src <> Pool.slot dst then
+let edge_from_live t ~src ~dst ~dst_ts (e : Event.t) =
+  if Step.slot_unchecked src <> Pool.slot dst then begin
+    let src_node = Pool.node_of_step t.pool src in
+    let src_ts = Step.ts_unchecked src in
     match
-      Pool.add_edge_op t.pool
-        ~src:(Pool.node_of_step t.pool src)
-        ~src_ts:(Step.ts_unchecked src) ~dst ~dst_ts ~op:e.Event.op
-        ~index:e.Event.index
+      Pool.add_edge_op t.pool ~src:src_node ~src_ts ~dst ~dst_ts
+        ~op:e.Event.op ~index:e.Event.index
     with
     | `Ok | `Self -> ()
-    | `Cycle c -> report_cycle t st e c
+    | `Cycle -> on_cycle t ~src:src_node ~src_ts ~dst
+  end
 
 (* Stale and ⊥ steps contribute nothing. *)
-let edge_from t st ~src ~dst ~dst_ts e =
-  if Pool.step_live t.pool src then edge_from_live t st ~src ~dst ~dst_ts e
+let edge_from t ~src ~dst ~dst_ts e =
+  if Pool.step_live t.pool src then edge_from_live t ~src ~dst ~dst_ts e
 
 (* --- Merge (Figure 4) --------------------------------------------------- *)
 
@@ -388,7 +416,7 @@ let merge_finish t (e : Event.t) =
             ~index:e.Event.index
         with
         | `Ok | `Self -> ()
-        | `Cycle _ ->
+        | `Cycle ->
           (* Impossible: [n] is fresh and has no outgoing edges. *)
           assert false
       done;
@@ -423,7 +451,7 @@ let outside_naive t st (e : Event.t) body =
   in
   Pool.set_active t.pool n true;
   let ts0 = Pool.fresh_ts n in
-  edge_from t st ~src:st.l ~dst:n ~dst_ts:ts0 e;
+  edge_from t ~src:st.l ~dst:n ~dst_ts:ts0 e;
   st.l <- Pool.step_of n ~ts:ts0;
   st.cur <- Pool.slot n;
   st.depth <- 0;
@@ -439,7 +467,7 @@ let outside_naive t st (e : Event.t) body =
 
 let do_acquire t st n (e : Event.t) m =
   let ts = inside_step st n in
-  edge_from t st ~src:(lock_step t m) ~dst:n ~dst_ts:ts e
+  edge_from t ~src:(lock_step t m) ~dst:n ~dst_ts:ts e
 
 let do_release t st n m =
   ignore (inside_step st n);
@@ -448,7 +476,7 @@ let do_release t st n m =
 let do_read t st n (e : Event.t) x =
   let vs = var_state t x in
   let ts = inside_step st n in
-  edge_from t st ~src:vs.w ~dst:n ~dst_ts:ts e;
+  edge_from t ~src:vs.w ~dst:n ~dst_ts:ts e;
   set_read vs (Tid.to_int (Op.tid e.Event.op)) st.l
 
 (* A read step found stale becomes ⊥ in its entry: it can never be live
@@ -462,10 +490,10 @@ let do_write t st n (e : Event.t) x =
     let s = Array.unsafe_get steps i in
     if not (Step.is_bottom s) then
       if Pool.step_live t.pool s then
-        edge_from_live t st ~src:s ~dst:n ~dst_ts:ts e
+        edge_from_live t ~src:s ~dst:n ~dst_ts:ts e
       else Array.unsafe_set steps i Step.bottom
   done;
-  edge_from t st ~src:vs.w ~dst:n ~dst_ts:ts e;
+  edge_from t ~src:vs.w ~dst:n ~dst_ts:ts e;
   vs.w <- st.l
 
 let dispatch t st (e : Event.t) =
@@ -479,7 +507,7 @@ let dispatch t st (e : Event.t) =
       in
       Pool.set_active t.pool n true;
       let ts = Pool.fresh_ts n in
-      edge_from t st ~src:st.l ~dst:n ~dst_ts:ts e;
+      edge_from t ~src:st.l ~dst:n ~dst_ts:ts e;
       st.cur <- Pool.slot n;
       st.depth <- 0;
       stack_push st (Label.to_int l) ts;
@@ -556,7 +584,7 @@ let dispatch t st (e : Event.t) =
 let on_event t (e : Event.t) =
   let st = thread t (Op.tid e.Event.op) in
   dispatch t st e;
-  match t.pending with [] -> () | _ -> flush_pending t st e
+  if t.ev_cycle then flush_cycle t st e
 
 let finish _ = ()
 

@@ -29,8 +29,11 @@
 
     {b Reports.} Each new report key (one per blamed label, one per
     unblamed cycle signature) yields one warning: a short verdict text
-    plus the cycle as an {!Velodrome_analysis.Error_graph.t}. The cycle
-    stays data; its one-line summary ({!Velodrome_analysis.Warning.message})
+    plus the cycle as an {!Velodrome_analysis.Error_graph.t}. A detected
+    cycle is evaluated in place: blame and the key read the path that
+    {!Pool.find_path} leaves in a reused buffer, so a cycle whose key was
+    already reported allocates nothing. The cycle of a new report stays
+    data; its one-line summary ({!Velodrome_analysis.Warning.message})
     and its dot graph are rendered only for warnings that get printed,
     since most raw warnings are dropped by deduplication first.
 

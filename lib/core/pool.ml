@@ -26,10 +26,13 @@ and edge = {
   mutable diag_index : int;
 }
 
-type cycle = {
-  path : (node * edge * node) list;
-  closing_tail_ts : int;
-  closing_head_ts : int;
+(* A path as its hops: hop [i] leaves the node at slot [hop_slots.(i)] on
+   its out-edge [hop_edges.(i)]. [target] is the last node's slot. *)
+type path = {
+  mutable hop_slots : int array;
+  mutable hop_edges : int array;
+  mutable len : int;
+  mutable target : int;
 }
 
 exception Slots_exhausted
@@ -45,7 +48,6 @@ type t = {
   mutable clear_work : int;
       (** cumulative nodes visited while clearing ancestor bit-columns in
           [collect]; instrumentation for the free-cost regression test *)
-  visited : Bitset.t;  (** scratch for [find_path] *)
 }
 
 let create () =
@@ -56,12 +58,11 @@ let create () =
     live_count = 0;
     counter = Stats.counter ();
     clear_work = 0;
-    visited = Bitset.create ();
   }
 
-let slot n = n.slot
+let[@inline] slot n = n.slot
 let is_live n = n.live
-let is_active n = n.active
+let[@inline] is_active n = n.active
 let diag_tid n = n.d_tid
 let diag_label n = n.d_label
 
@@ -103,14 +104,14 @@ let alloc t ~tid ~label =
   Stats.incr t.counter;
   n
 
-let fresh_ts n =
+let[@inline] fresh_ts n =
   let ts = n.next_ts in
   n.next_ts <- ts + 1;
   ts
 
-let step_of n ~ts = Step.make_unchecked ~slot:n.slot ~ts
+let[@inline] step_of n ~ts = Step.make_unchecked ~slot:n.slot ~ts
 
-let step_live t s =
+let[@inline] step_live t s =
   (not (Step.is_bottom s))
   &&
   let sl = Step.slot_unchecked s in
@@ -119,8 +120,8 @@ let step_live t s =
   let n = Vec.unsafe_get t.slots sl in
   n.live && Step.ts_unchecked s > n.collected_upto
 
-let node_of_step t s = Vec.unsafe_get t.slots (Step.slot_unchecked s)
-let node_at t slot = Vec.unsafe_get t.slots slot
+let[@inline] node_of_step t s = Vec.unsafe_get t.slots (Step.slot_unchecked s)
+let[@inline] node_at t slot = Vec.unsafe_get t.slots slot
 
 let resolve t s = if step_live t s then Some (node_of_step t s) else None
 
@@ -185,36 +186,55 @@ let sweep = maybe_collect
 let happens_before_or_eq _t a b =
   a.slot = b.slot || Bitset.mem b.ancestors a.slot
 
-let find_path t ~src:from_node ~dst:to_node =
-  (* DFS over live out-edges from [from_node] to [to_node]. *)
-  Bitset.reset t.visited;
-  let rec go n =
-    if Bitset.mem t.visited n.slot then None
-    else begin
-      Bitset.set t.visited n.slot;
-      let result = ref None in
-      (try
-         for i = 0 to Vec.length n.out - 1 do
-           let e = Vec.unsafe_get n.out i in
-           let dst = Vec.unsafe_get t.slots e.dst_slot in
-           if dst.live then
-             if dst.slot = to_node.slot then begin
-               result := Some [ (n, e, dst) ];
-               raise Exit
-             end
-             else begin
-               match go dst with
-               | Some rest ->
-                 result := Some ((n, e, dst) :: rest);
-                 raise Exit
-               | None -> ()
-             end
-         done
-       with Exit -> ());
-      !result
-    end
-  in
-  go from_node
+let create_path () =
+  { hop_slots = Array.make 16 0; hop_edges = Array.make 16 0; len = 0;
+    target = -1 }
+
+let path_length p = p.len
+let path_slot p i = if i = p.len then p.target else p.hop_slots.(i)
+let path_edge_index p i = p.hop_edges.(i)
+let path_edge t p i = Vec.get (node_at t p.hop_slots.(i)).out p.hop_edges.(i)
+
+let push_hop p slot edge =
+  if p.len = Array.length p.hop_slots then begin
+    let cap = 2 * p.len in
+    let ns = Array.make cap 0 and ne = Array.make cap 0 in
+    Array.blit p.hop_slots 0 ns 0 p.len;
+    Array.blit p.hop_edges 0 ne 0 p.len;
+    p.hop_slots <- ns;
+    p.hop_edges <- ne
+  end;
+  Array.unsafe_set p.hop_slots p.len slot;
+  Array.unsafe_set p.hop_edges p.len edge;
+  p.len <- p.len + 1
+
+(* The first out-edge of [n], in insertion order, to [to_] or to a live
+   node with a path to [to_]; -1 if none. *)
+let rec next_hop t n (to_ : node) i =
+  if i >= Vec.length n.out then -1
+  else
+    let d = node_at t (Vec.unsafe_get n.out i).dst_slot in
+    if d.live && (d.slot = to_.slot || Bitset.mem to_.ancestors d.slot) then i
+    else next_hop t n to_ (i + 1)
+
+(* The path a depth-first search over live out-edges in insertion order
+   would find, without its search. The graph is acyclic, so every node
+   such a search enters and leaves without finding [to_] cannot reach
+   [to_]; the search therefore takes, at each node, the first edge into
+   an ancestor of [to_] (or [to_] itself) and never backtracks. The
+   ancestor sets name exactly those nodes, so the path is a walk whose
+   cost is the out-edges it reads. *)
+let find_path t p ~from ~to_ =
+  p.len <- 0;
+  p.target <- to_.slot;
+  let n = ref from in
+  while !n != to_ do
+    let i = next_hop t !n to_ 0 in
+    (* The ancestor invariant guarantees a live path exists. *)
+    if i < 0 then invalid_arg "Pool.find_path: no path";
+    push_hop p !n.slot i;
+    n := node_at t (Vec.unsafe_get !n.out i).dst_slot
+  done
 
 (* Set bit [m_slot] in the descendant set of every node named by the bit
    pattern [x]: the fresh ancestors [m] just gained. *)
@@ -284,15 +304,9 @@ let find_out_index (n : node) dst_slot =
 
 let add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op ~diag_index =
   if src.slot = dst.slot then `Self
-  else if Bitset.mem src.ancestors dst.slot then begin
+  else if Bitset.mem src.ancestors dst.slot then
     (* [dst ⇒* src] already holds; the new edge would close a cycle. *)
-    match find_path t ~src:dst ~dst:src with
-    | Some path ->
-      `Cycle { path; closing_tail_ts = src_ts; closing_head_ts = dst_ts }
-    | None ->
-      (* The ancestor invariant guarantees a live path exists. *)
-      assert false
-  end
+    `Cycle
   else begin
     let i = find_out_index src dst.slot in
     if i >= 0 then begin
@@ -326,9 +340,13 @@ let add_edge t ~src ~src_ts ~dst ~dst_ts ?diag () =
   let diag_index = match diag with Some (_, i) -> i | None -> -1 in
   add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op ~diag_index
 
+(* A rejected edge builds no [Some op]: on a violation-dense stream most
+   calls close a cycle. *)
 let add_edge_op t ~src ~src_ts ~dst ~dst_ts ~op ~index =
-  add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op:(Some op)
-    ~diag_index:index
+  if Bitset.mem src.ancestors dst.slot then `Cycle
+  else
+    add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op:(Some op)
+      ~diag_index:index
 
 let live_count t = t.live_count
 let allocated t = Stats.total_increments t.counter

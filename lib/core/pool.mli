@@ -44,13 +44,6 @@ type edge = {
   mutable diag_index : int;  (** event index of that operation *)
 }
 
-type cycle = {
-  path : (node * edge * node) list;
-      (** consecutive live edges forming the path [dst ⇒* src] *)
-  closing_tail_ts : int;
-  closing_head_ts : int;  (** the rejected edge [src -> dst] *)
-}
-
 val create : unit -> t
 
 val alloc : t -> tid:int -> label:int -> node
@@ -114,10 +107,11 @@ val add_edge :
   dst_ts:int ->
   ?diag:Op.t * int ->
   unit ->
-  [ `Ok | `Self | `Cycle of cycle ]
+  [ `Ok | `Self | `Cycle ]
 (** Add [src -> dst]. [`Self] when the nodes coincide (filtered, like the
-    paper's ⊕). [`Cycle] when the edge would close a cycle; the edge is
-    not added and the offending path is returned. *)
+    paper's ⊕). [`Cycle] when the edge would close a cycle, i.e. when
+    [dst ⇒* src] already holds; the edge is not added and nothing else
+    changes. {!find_path} finds the offending path. *)
 
 val add_edge_op :
   t ->
@@ -127,9 +121,42 @@ val add_edge_op :
   dst_ts:int ->
   op:Op.t ->
   index:int ->
-  [ `Ok | `Self | `Cycle of cycle ]
+  [ `Ok | `Self | `Cycle ]
 (** {!add_edge} with mandatory diagnostics and no optional-argument
     boxing; the engine's per-event call. *)
+
+(** {2 Cycle paths} *)
+
+type path
+(** A reusable buffer holding one path of live edges as a sequence of
+    hops, each a node's slot and the index of one of its out-edges. *)
+
+val create_path : unit -> path
+
+val find_path : t -> path -> from:node -> to_:node -> unit
+(** Leave in the buffer the first path [from ⇒+ to_] that a depth-first
+    search finds, visiting each node's live out-edges in insertion order.
+    The ancestor sets steer it, so it never backtracks: it reads only the
+    out-edges of the nodes on the path. Requires [from] to be an ancestor
+    of [to_] (the condition under which {!add_edge}[ ~src:to_ ~dst:from]
+    returns [`Cycle]); raises [Invalid_argument] otherwise. Allocates
+    nothing unless the buffer must grow, which it does at most to the
+    live node count. *)
+
+val path_length : path -> int
+(** The number of edges on the path; at least 1. *)
+
+val path_slot : path -> int -> int
+(** [path_slot p i] is the slot of the path's [i]th node, for
+    [0 <= i <= path_length p]: node 0 is [from] and the last is [to_]. *)
+
+val path_edge_index : path -> int -> int
+(** [path_edge_index p i] is the index of edge [i] (from node [i] to node
+    [i + 1]) among node [i]'s out-edges. *)
+
+val path_edge : t -> path -> int -> edge
+(** Edge [i] of the path. Valid until an edge is removed, i.e. until a
+    node on the path is collected. *)
 
 val live_count : t -> int
 val allocated : t -> int

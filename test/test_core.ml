@@ -29,6 +29,12 @@ let test_step_extremes () =
 
 (* --- Pool ----------------------------------------------------------------- *)
 
+(* A found path as its hops: each node's slot and the index of the
+   out-edge it leaves on. *)
+let hops path =
+  List.init (Pool.path_length path) (fun i ->
+      (Pool.path_slot path i, Pool.path_edge_index path i))
+
 let test_pool_stale_step_detection () =
   let p = Pool.create () in
   let n = Pool.alloc p ~tid:0 ~label:0 in
@@ -75,10 +81,15 @@ let test_pool_cycle_detected_and_rejected () =
   let e1 = Pool.add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:2 () in
   check bool "first edge ok" true (e1 = `Ok);
   (match Pool.add_edge p ~src:b ~src_ts:3 ~dst:a ~dst_ts:4 () with
-  | `Cycle c ->
-    check int "path is the single edge" 1 (List.length c.Pool.path);
-    check int "closing tail" 3 c.Pool.closing_tail_ts;
-    check int "closing head" 4 c.Pool.closing_head_ts
+  | `Cycle ->
+    let path = Pool.create_path () in
+    Pool.find_path p path ~from:a ~to_:b;
+    check (Alcotest.list (Alcotest.pair int int)) "path is the single edge"
+      [ (Pool.slot a, 0) ] (hops path);
+    check int "path ends at b" (Pool.slot b) (Pool.path_slot path 1);
+    let e = Pool.path_edge p path 0 in
+    check int "edge tail" 1 e.Pool.tail_ts;
+    check int "edge head" 2 e.Pool.head_ts
   | _ -> Alcotest.fail "expected cycle");
   (* The cycle edge must not have been added: adding a -> b again is fine
      and the graph stays acyclic. *)
@@ -94,7 +105,11 @@ let test_pool_transitive_cycle () =
   ignore (Pool.add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:1 ());
   ignore (Pool.add_edge p ~src:b ~src_ts:2 ~dst:c ~dst_ts:1 ());
   match Pool.add_edge p ~src:c ~src_ts:2 ~dst:a ~dst_ts:2 () with
-  | `Cycle cyc -> check int "two-edge path" 2 (List.length cyc.Pool.path)
+  | `Cycle ->
+    let path = Pool.create_path () in
+    Pool.find_path p path ~from:a ~to_:c;
+    check (Alcotest.list (Alcotest.pair int int)) "two-edge path"
+      [ (Pool.slot a, 0); (Pool.slot b, 0) ] (hops path)
   | _ -> Alcotest.fail "expected transitive cycle"
 
 let test_pool_self_edge_filtered () =
@@ -607,6 +622,106 @@ let prop_bitset_ancestors_match_reachability_dense =
        { Gen.default with threads = 4; vars = 2; locks = 1; steps = 120 })
     trace_matches_reference
 
+(* --- Path search = the recursive reference -------------------------------- *)
+
+(* The recursive depth-first search the pool used before the ancestor sets
+   steered its path search: from [from], each node entered at most once,
+   its live out-edges tried in insertion order, the first that reaches
+   [to_] taken. Returns the hops as (slot, out-edge index) pairs. *)
+let reference_path pool ~from ~to_ =
+  let visited = Hashtbl.create 16 in
+  let rec enter s =
+    if Hashtbl.mem visited s then None
+    else begin
+      Hashtbl.replace visited s ();
+      let rec try_edges i = function
+        | [] -> None
+        | d :: rest -> (
+          if Pool.node_of_slot pool d = None then try_edges (i + 1) rest
+          else if d = to_ then Some [ (s, i) ]
+          else
+            match enter d with
+            | Some hops -> Some ((s, i) :: hops)
+            | None -> try_edges (i + 1) rest)
+      in
+      try_edges 0 (Pool.out_slots (Option.get (Pool.node_of_slot pool s)))
+    end
+  in
+  enter from
+
+(* After every event, for every live pair [a ⇒+ b]: the edge [b -> a] is a
+   [`Cycle] (rejected, so the graph is unchanged) and the path found for
+   it is the reference's, hop for hop. *)
+let paths_match_reference tr =
+  let eng = Engine.create (Names.create ()) in
+  let pool = Engine.debug_pool eng in
+  let path = Pool.create_path () in
+  List.for_all
+    (fun e ->
+      Engine.on_event eng e;
+      let live = Pool.live_slots pool in
+      let node s = Option.get (Pool.node_of_slot pool s) in
+      List.for_all
+        (fun b ->
+          List.for_all
+            (fun a ->
+              match
+                Pool.add_edge pool ~src:(node b) ~src_ts:0 ~dst:(node a)
+                  ~dst_ts:0 ()
+              with
+              | `Cycle ->
+                Pool.find_path pool path ~from:(node a) ~to_:(node b);
+                reference_path pool ~from:a ~to_:b = Some (hops path)
+                && Pool.path_slot path (Pool.path_length path) = b
+              | `Ok | `Self -> false)
+            (Pool.ancestor_slots (node b)))
+        live)
+    (Event.of_ops (Trace.to_list tr))
+
+let prop_paths_match_reference_dense =
+  QCheck.Test.make ~count:100 ~name:"path search = recursive DFS (dense)"
+    (trace_arbitrary
+       { Gen.default with threads = 8; vars = 2; locks = 1; labels = 8;
+         steps = 60; max_depth = 3 })
+    paths_match_reference
+
+let prop_paths_match_reference_wide =
+  QCheck.Test.make ~count:100 ~name:"path search = recursive DFS (wide)"
+    (trace_arbitrary
+       { Gen.default with threads = 16; vars = 64; locks = 8; labels = 8;
+         steps = 120; max_depth = 3 })
+    paths_match_reference
+
+(* A path search reads the pool and writes a reused buffer: once the
+   buffer has grown, it allocates nothing. The pool is a 40-node chain
+   whose nodes each have a dead-end edge before their chain edge, so the
+   search passes an edge at every hop. *)
+let test_find_path_allocates_nothing () =
+  let p = Pool.create () in
+  let live () =
+    let n = Pool.alloc p ~tid:0 ~label:0 in
+    Pool.set_active p n true;
+    n
+  in
+  let chain = Array.init 40 (fun _ -> live ()) in
+  for i = 0 to 38 do
+    ignore
+      (Pool.add_edge p ~src:chain.(i) ~src_ts:1 ~dst:(live ()) ~dst_ts:1 ());
+    ignore
+      (Pool.add_edge p ~src:chain.(i) ~src_ts:1 ~dst:chain.(i + 1) ~dst_ts:1 ())
+  done;
+  let path = Pool.create_path () in
+  Pool.find_path p path ~from:chain.(0) ~to_:chain.(39);
+  let w0 = Gc.minor_words () in
+  Pool.find_path p path ~from:chain.(0) ~to_:chain.(39);
+  let words = Gc.minor_words () -. w0 in
+  check
+    (Alcotest.list (Alcotest.pair int int))
+    "each hop takes the chain edge"
+    (List.init 39 (fun i -> (Pool.slot chain.(i), 1)))
+    (hops path);
+  check (Alcotest.float 0.) "minor words" 0. words
+
 (* --- Allocation-flat no-warning path --------------------------------------- *)
 
 let bytes_for_replay events =
@@ -645,11 +760,13 @@ let test_engine_allocation_flat () =
     (marginal < 1.0)
 
 (* The same audit over a recorded workload trace: a Medium jigsaw run,
-   8,520 events with 98 cycles and 41 warnings. Those cycles' paths and
-   error graphs are most of what it allocates, the rest being first-touch
-   state and the edge records of new node pairs. It reads 31.8 B/event
-   (32.0 on the dev profile), against 50.2 before the int-slot,
-   closure-free path, so a regression of half a word per event fails. *)
+   8,520 events with 98 cycles and 41 warnings. The error graphs of the
+   new reports are most of what it allocates, the rest being first-touch
+   state and the edge records of new node pairs; a cycle's path search,
+   blame and dedup allocate nothing. It reads 21.7 B/event (21.8 on the
+   dev profile), against 31.8 when every cycle built its path as a list
+   and 50.2 before the int-slot, closure-free path, so a regression of a
+   third of a word per event fails. *)
 let test_engine_allocation_jigsaw () =
   let w = Option.get (Velodrome_workloads.Workload.find "jigsaw") in
   let program = w.Velodrome_workloads.Workload.build Medium in
@@ -673,7 +790,7 @@ let test_engine_allocation_jigsaw () =
   check int "events" 8_520 (Array.length events);
   check bool
     (Printf.sprintf "%.2f B/event over the replay" per_event)
-    true (per_event < 34.0)
+    true (per_event < 24.0)
 
 (* --- Slow-path allocation -------------------------------------------------- *)
 
@@ -701,10 +818,13 @@ let dense_events = shape_events ~threads:8 ~vars:2 ~locks:1
    the longest paths (13 edges on average) and the most new reports. *)
 let wide_events = shape_events ~threads:16 ~vars:64 ~locks:8
 
-(* Each new key builds its error graph as data and a short verdict; the
-   dot and the cycle summary are rendered only where a warning is
-   printed. With the summary rendered eagerly again this reads about
-   3.9 KB per event, and with the dot as well about 14.5 KB. *)
+(* A cycle's path search, blame and dedup allocate nothing, and only a
+   new key builds its error graph as data and a short verdict; the dot and
+   the cycle summary are rendered only where a warning is printed. Seeds
+   1-3 read 362, 326 and 408 B/event (365, 329 and 411 on the dev
+   profile). With every cycle's path built as a list they read 1,401 to
+   1,857; with the summary rendered eagerly again about 3.9 KB, and with
+   the dot as well about 14.5 KB. *)
 let test_engine_slow_path_allocation () =
   let names = dense_names () in
   List.iter
@@ -719,7 +839,7 @@ let test_engine_slow_path_allocation () =
         (List.length (Engine.warnings eng) > 50);
       check bool
         (Printf.sprintf "seed %d: %.0f B/event on the slow path" seed per_event)
-        true (per_event < 2500.))
+        true (per_event < 480.))
     [ 1; 2; 3 ]
 
 (* Every warning's full message and dot on the dense shape, pinned as a
@@ -812,6 +932,10 @@ let suite =
       Alcotest.test_case "pool free cost flat" `Quick test_pool_free_cost_flat;
       QCheck_alcotest.to_alcotest prop_bitset_ancestors_match_reachability;
       QCheck_alcotest.to_alcotest prop_bitset_ancestors_match_reachability_dense;
+      QCheck_alcotest.to_alcotest prop_paths_match_reference_dense;
+      QCheck_alcotest.to_alcotest prop_paths_match_reference_wide;
+      Alcotest.test_case "path search allocates nothing" `Quick
+        test_find_path_allocates_nothing;
       Alcotest.test_case "engine allocation flat" `Quick
         test_engine_allocation_flat;
       Alcotest.test_case "engine allocation on jigsaw" `Quick

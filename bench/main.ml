@@ -85,9 +85,7 @@ let replay_engine_events ~names events =
   eng
 
 let replay_basic_events ~names events =
-  let eng =
-    Velodrome_core.Basic.create ~config:{ Velodrome_core.Basic.gc = true } names
-  in
+  let eng = Velodrome_core.Basic.create names in
   Array.iter (Velodrome_core.Basic.on_event eng) events;
   Velodrome_core.Basic.finish eng;
   eng

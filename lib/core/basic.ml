@@ -3,15 +3,10 @@ open Velodrome_trace.Ids
 open Velodrome_analysis
 open Velodrome_util
 
-type config = { gc : bool }
-
-let default_config = { gc = true }
-
 (* Node ids are never reused; collected ids join [dead], and references
    from the weak components (L, U, R, W) are treated as ⊥ on sight. *)
 type t = {
   names : Names.t;
-  config : config;
   mutable next_node : int;
   succ : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (** live adjacency *)
   indegree : (int, int) Hashtbl.t;
@@ -30,10 +25,9 @@ type t = {
   reported : (int, unit) Hashtbl.t;  (** label ids already reported *)
 }
 
-let create ?(config = default_config) names =
+let create names =
   {
     names;
-    config;
     next_node = 0;
     succ = Hashtbl.create 64;
     indegree = Hashtbl.create 64;
@@ -82,7 +76,7 @@ let rec collect t n =
 
 and maybe_collect t n =
   if
-    t.config.gc && live t n
+    live t n
     && Hashtbl.mem t.finished n
     && Hashtbl.find_opt t.indegree n = Some 0
   then collect t n
@@ -238,14 +232,13 @@ let cycles_found t = t.cycles
 let first_error_index t = t.first_error
 let nodes_allocated t = Stats.total_increments t.counter
 let nodes_max_alive t = Stats.high_water t.counter
-let nodes_live t = Hashtbl.length t.succ
 
-let backend ?(config = default_config) () : (module Backend.S) =
+let backend () : (module Backend.S) =
   (module struct
     type nonrec t = t
 
     let name = "velodrome-basic"
-    let create names = create ~config names
+    let create = create
     let on_event = on_event
     let pause_hint _ _ = false
     let finish = finish

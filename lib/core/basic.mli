@@ -7,22 +7,19 @@
     cycle detection is a plain DFS reachability query over an explicit
     adjacency structure rather than {!Pool}'s incremental ancestor sets.
 
-    Its role is differential testing: on any trace, {!Basic} and
+    It has two roles. It is Table 1's "Without Merge" baseline: its
+    allocation counts are the nodes Figure 2 allocates. And it is the
+    reference for differential testing: on any trace, {!Basic} and
     {!Engine} must agree both on {e whether} the trace is serializable and
-    on the {e index} of the first violating event. Garbage collection
-    (Section 4.1, reference counting) can be disabled to measure its
-    effect. *)
+    on the {e index} of the first violating event. Finished nodes without
+    predecessors are collected by reference counting (Section 4.1). *)
 
 open Velodrome_trace
 open Velodrome_analysis
 
-type config = { gc : bool }
-
-val default_config : config
-
 type t
 
-val create : ?config:config -> Names.t -> t
+val create : Names.t -> t
 val on_event : t -> Event.t -> unit
 val finish : t -> unit
 val warnings : t -> Warning.t list
@@ -31,7 +28,6 @@ val cycles_found : t -> int
 val first_error_index : t -> int option
 val nodes_allocated : t -> int
 val nodes_max_alive : t -> int
-val nodes_live : t -> int
 
-val backend : ?config:config -> unit -> (module Backend.S)
+val backend : unit -> (module Backend.S)
 (** Named ["velodrome-basic"]. *)

@@ -3,10 +3,6 @@ open Velodrome_trace.Ids
 open Velodrome_analysis
 open Velodrome_util
 
-type config = { merge : bool }
-
-let default_config = { merge = true }
-
 (* The open-block stack lives in a pair of parallel int arrays (label,
    begin timestamp; index 0 = outermost) so Begin/End never cons. The
    current transaction is its node's slot, -1 outside any: an int field
@@ -34,7 +30,6 @@ type var_state = {
 
 type t = {
   names : Names.t;
-  config : config;
   pool : Pool.t;
   threads : thread_state Vec.t;  (** dense, indexed by interned tid *)
   locks : Step.t Vec.t;  (** dense, indexed by interned lock id *)
@@ -59,13 +54,9 @@ type t = {
   mutable mlen : int;
 }
 
-let analysis_name config =
-  if config.merge then "velodrome" else "velodrome-nomerge"
-
-let create ?(config = default_config) names =
+let create names =
   {
     names;
-    config;
     pool = Pool.create ();
     threads = Vec.create ();
     locks = Vec.create ();
@@ -179,12 +170,8 @@ let rec increasing_from pool p ~closing_tail_ts i =
 
 (* An open block is refuted by an increasing cycle when it began no later
    than the root operation, the one at which the current transaction's
-   edge on the cycle leaves it. A pseudo-block (label -1) wraps a unary
-   transaction in no-merge mode; unary transactions are trivially
-   self-serializable and never blamed. Index 0 is the outermost block. *)
-let refutes st ~root_ts i =
-  Array.unsafe_get st.stk_ts i <= root_ts
-  && Array.unsafe_get st.stk_labels i >= 0
+   edge on the cycle leaves it. Index 0 is the outermost block. *)
+let refutes st ~root_ts i = Array.unsafe_get st.stk_ts i <= root_ts
 
 let rec first_refuted st ~root_ts i =
   if i >= st.depth then -1
@@ -308,7 +295,7 @@ let emit_cycle_warning t st (e : Event.t) p ~increasing =
     in
     let warning =
       Warning.make
-        ~analysis:(analysis_name t.config)
+        ~analysis:"velodrome"
         ~kind:Warning.Atomicity_violation ~tid:(Op.tid e.Event.op)
         ?label:(if primary >= 0 then Some (Label.of_int primary) else None)
         ~cycle ~blamed ~refuted ~index:e.Event.index verdict
@@ -441,28 +428,6 @@ let inside_step st n =
   st.l <- Pool.step_of n ~ts;
   ts
 
-(* --- Naive outside handling (Figure 2's [INS OUTSIDE]) ------------------ *)
-
-(* Wrap the operation in a fresh unary transaction: begin, op, end. Used
-   when [config.merge] is off; Table 1's "Without Merge" columns. *)
-let outside_naive t st (e : Event.t) body =
-  let n =
-    Pool.alloc t.pool ~tid:(Tid.to_int (Op.tid e.Event.op)) ~label:(-1)
-  in
-  Pool.set_active t.pool n true;
-  let ts0 = Pool.fresh_ts n in
-  edge_from t ~src:st.l ~dst:n ~dst_ts:ts0 e;
-  st.l <- Pool.step_of n ~ts:ts0;
-  st.cur <- Pool.slot n;
-  st.depth <- 0;
-  stack_push st (-1) ts0;
-  body n;
-  let ts = Pool.fresh_ts n in
-  st.l <- Pool.step_of n ~ts;
-  st.cur <- -1;
-  st.depth <- 0;
-  Pool.set_active t.pool n false
-
 (* --- Event dispatch ------------------------------------------------------ *)
 
 let do_acquire t st n (e : Event.t) m =
@@ -534,26 +499,24 @@ let dispatch t st (e : Event.t) =
     end
   | Op.Acquire (_, m) ->
     if st.cur >= 0 then do_acquire t st (Pool.node_at t.pool st.cur) e m
-    else if t.config.merge then begin
+    else begin
       (* [INS2 OUTSIDE ACQUIRE] *)
       merge_reset t;
       merge_add t st.l;
       merge_add t (lock_step t m);
       st.l <- merge_finish t e
     end
-    else outside_naive t st e (fun n -> do_acquire t st n e m)
   | Op.Release (_, m) ->
     if st.cur >= 0 then do_release t st (Pool.node_at t.pool st.cur) m
-    else if t.config.merge then begin
+    else begin
       (* [INS2 OUTSIDE RELEASE] *)
       let s = l_plus_one t st in
       st.l <- s;
       set_lock_step t m s
     end
-    else outside_naive t st e (fun n -> do_release t st n m)
   | Op.Read (tid, x) ->
     if st.cur >= 0 then do_read t st (Pool.node_at t.pool st.cur) e x
-    else if t.config.merge then begin
+    else begin
       (* [INS2 OUTSIDE READ] *)
       let vs = var_state t x in
       merge_reset t;
@@ -563,10 +526,9 @@ let dispatch t st (e : Event.t) =
       st.l <- s;
       set_read vs (Tid.to_int tid) s
     end
-    else outside_naive t st e (fun n -> do_read t st n e x)
   | Op.Write (_, x) ->
     if st.cur >= 0 then do_write t st (Pool.node_at t.pool st.cur) e x
-    else if t.config.merge then begin
+    else begin
       (* [INS2 OUTSIDE WRITE] *)
       let vs = var_state t x in
       merge_reset t;
@@ -579,7 +541,6 @@ let dispatch t st (e : Event.t) =
       st.l <- s;
       vs.w <- s
     end
-    else outside_naive t st e (fun n -> do_write t st n e x)
 
 let on_event t (e : Event.t) =
   let st = thread t (Op.tid e.Event.op) in
@@ -597,12 +558,12 @@ let nodes_max_alive t = Pool.max_alive t.pool
 let nodes_live t = Pool.live_count t.pool
 let debug_pool t = t.pool
 
-let backend ?(config = default_config) () : (module Backend.S) =
+let backend () : (module Backend.S) =
   (module struct
     type nonrec t = t
 
-    let name = analysis_name config
-    let create names = create ~config names
+    let name = "velodrome"
+    let create = create
     let on_event = on_event
     let pause_hint _ _ = false
     let finish = finish

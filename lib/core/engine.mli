@@ -37,27 +37,20 @@
     and its dot graph are rendered only for warnings that get printed,
     since most raw warnings are dropped by deduplication first.
 
-    {b Merge.} With [config.merge] on (the default), operations outside
-    any atomic block go through the [merge] function of Figure 4, which
-    avoids allocating nodes for unary transactions whenever a
-    representative predecessor exists. With it off, each such operation is
-    wrapped in a fresh unary transaction — the naive [INS OUTSIDE] rule of
-    Figure 2 — which is what the "Without Merge" columns of Table 1
-    measure. Verdicts are identical either way; only allocation counts and
-    speed differ. *)
+    {b Merge.} Operations outside any atomic block go through the [merge]
+    function of Figure 4, which avoids allocating nodes for unary
+    transactions whenever a representative predecessor exists. Figure 2's
+    naive [INS OUTSIDE] rule, a fresh unary transaction per such
+    operation, is {!Basic}: the "Without Merge" columns of Table 1.
+    Verdicts are identical either way; only allocation counts and speed
+    differ. *)
 
 open Velodrome_trace
 open Velodrome_analysis
 
-type config = {
-  merge : bool;  (** Figure 4 outside rules (default) vs naive wrapping *)
-}
-
-val default_config : config
-
 type t
 
-val create : ?config:config -> Names.t -> t
+val create : Names.t -> t
 val on_event : t -> Event.t -> unit
 val finish : t -> unit
 
@@ -86,6 +79,5 @@ val debug_pool : t -> Pool.t
     the pool's bitset ancestor sets against reference graph reachability.
     Not part of the analysis API. *)
 
-val backend : ?config:config -> unit -> (module Backend.S)
-(** Package as a RoadRunner-style back-end named ["velodrome"] (or
-    ["velodrome-nomerge"]). *)
+val backend : unit -> (module Backend.S)
+(** Package as a RoadRunner-style back-end named ["velodrome"]. *)

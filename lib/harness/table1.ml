@@ -18,19 +18,6 @@ type row = {
   alive_merge : int;
 }
 
-let replay_engine ~merge ops names =
-  let eng =
-    Velodrome_core.Engine.create
-      ~config:{ Velodrome_core.Engine.merge }
-      names
-  in
-  List.iteri
-    (fun index op ->
-      Velodrome_core.Engine.on_event eng (Event.make ~index op))
-    ops;
-  Velodrome_core.Engine.finish eng;
-  eng
-
 let run_row ?(seed = 42) ?(repeats = 3) size (w : Workload.t) =
   let program = w.Workload.build size in
   let names = program.Ast.names in
@@ -65,14 +52,23 @@ let run_row ?(seed = 42) ?(repeats = 3) size (w : Workload.t) =
             (Backend.make (Velodrome_core.Engine.backend ()) n);
         ])
   in
-  (* Node statistics: replay one recorded trace offline. *)
+  (* Node statistics: replay one recorded trace offline, once through
+     Figure 2 (Basic) and once through Figure 4 (Engine). *)
   let res = Common.run_once ~seed ~record_trace:true program (fun _ -> []) in
   let ops =
     Exclude.filter_ops ~excluded
       (Trace.to_list (Option.get res.Run.trace))
   in
-  let nomerge = replay_engine ~merge:false ops names in
-  let merged = replay_engine ~merge:true ops names in
+  let nomerge = Velodrome_core.Basic.create names in
+  let merged = Velodrome_core.Engine.create names in
+  List.iteri
+    (fun index op ->
+      let e = Event.make ~index op in
+      Velodrome_core.Basic.on_event nomerge e;
+      Velodrome_core.Engine.on_event merged e)
+    ops;
+  Velodrome_core.Basic.finish nomerge;
+  Velodrome_core.Engine.finish merged;
   {
     workload = w.Workload.name;
     stmts = Ast.stmt_count program;
@@ -82,8 +78,8 @@ let run_row ?(seed = 42) ?(repeats = 3) size (w : Workload.t) =
     slow_eraser = slow t_eraser;
     slow_atomizer = slow t_atomizer;
     slow_velodrome = slow t_velodrome;
-    alloc_nomerge = Velodrome_core.Engine.nodes_allocated nomerge;
-    alive_nomerge = Velodrome_core.Engine.nodes_max_alive nomerge;
+    alloc_nomerge = Velodrome_core.Basic.nodes_allocated nomerge;
+    alive_nomerge = Velodrome_core.Basic.nodes_max_alive nomerge;
     alloc_merge = Velodrome_core.Engine.nodes_allocated merged;
     alive_merge = Velodrome_core.Engine.nodes_max_alive merged;
   }

@@ -6,9 +6,9 @@
     satisfy their specification, which stresses Velodrome with many small
     transactions). The base time is the simulator with no analysis
     attached; each slowdown is the ratio of the instrumented run to it.
-    Node statistics replay the same recorded trace through the optimized
-    engine with merging disabled ("Without Merge", Figure 2's
-    [INS OUTSIDE]) and enabled ("With Merge", Figure 4). *)
+    Node statistics replay the same recorded trace through
+    {!Velodrome_core.Basic} ("Without Merge", Figure 2's [INS OUTSIDE])
+    and the optimized {!Velodrome_core.Engine} ("With Merge", Figure 4). *)
 
 type row = {
   workload : string;

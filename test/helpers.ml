@@ -41,17 +41,17 @@ let allocated_bytes f =
   Stats.allocated_bytes () -. b0
 
 (* Run a trace through the optimized engine and return it. *)
-let run_engine ?config trace =
+let run_engine trace =
   let names = Names.create () in
-  let eng = Velodrome_core.Engine.create ?config names in
+  let eng = Velodrome_core.Engine.create names in
   List.iter (Velodrome_core.Engine.on_event eng)
     (Event.of_ops (Trace.to_list trace));
   Velodrome_core.Engine.finish eng;
   eng
 
-let run_basic ?config trace =
+let run_basic trace =
   let names = Names.create () in
-  let eng = Velodrome_core.Basic.create ?config names in
+  let eng = Velodrome_core.Basic.create names in
   List.iter (Velodrome_core.Basic.on_event eng)
     (Event.of_ops (Trace.to_list trace));
   Velodrome_core.Basic.finish eng;

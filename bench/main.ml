@@ -159,15 +159,7 @@ let engine_bench_row ~size_name ~names ~fixture trace =
 
 let synthetic_trace ~steps ~threads ~vars ~locks ~seed =
   let cfg =
-    {
-      Velodrome_trace.Gen.default with
-      threads;
-      vars;
-      locks;
-      labels = 8;
-      steps;
-      max_depth = 3;
-    }
+    { Velodrome_trace.Gen.dense with threads; vars; locks; labels = 8; steps }
   in
   Gen.run (Velodrome_util.Rng.create seed) cfg
 

@@ -785,12 +785,7 @@ let fuzz_cmd =
   in
   let run count seed dense =
     let open Velodrome_trace in
-    let cfg =
-      if dense then
-        { Gen.default with threads = 4; vars = 2; locks = 1; steps = 60;
-          max_depth = 3 }
-      else Gen.default
-    in
+    let cfg = if dense then Gen.dense else Gen.default in
     let rng = Velodrome_util.Rng.create seed in
     let mismatches = ref 0 in
     for k = 1 to count do

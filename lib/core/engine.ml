@@ -36,10 +36,7 @@ type t = {
   vars : var_state Vec.t;  (** dense, indexed by interned var id *)
   mutable warnings_rev : Warning.t list;
   blamed_keys : Bitset.t;  (** labels already reported as blamed *)
-  unblamed_keys : (int, Error_graph.gnode list list) Hashtbl.t;
-      (** the node lists of the unblamed cycles already reported, by the
-          hash of their (tid, label) sequence: a signature is compared
-          with the graph its warning keeps, and stored nowhere else *)
+  unblamed_keys : Bitset.t;  (** labels already reported unblamed *)
   mutable cycles : int;
   mutable first_error : int option;
   mutable ev_cycle : bool;
@@ -63,7 +60,7 @@ let create names =
     vars = Vec.create ();
     warnings_rev = [];
     blamed_keys = Bitset.create ();
-    unblamed_keys = Hashtbl.create 16;
+    unblamed_keys = Bitset.create ();
     cycles = 0;
     first_error = None;
     ev_cycle = false;
@@ -153,9 +150,11 @@ let stack_push st label ts =
 
 (* --- Error reporting --------------------------------------------------- *)
 
-(* A detected cycle stays in a path buffer while it is evaluated: blame and
-   the report key read the path's edges and the stack arrays in place, and
-   only a key not seen before builds lists, a graph and a warning. *)
+(* A detected cycle stays in a path buffer while it is evaluated: blame
+   reads the path's edges and the stack arrays in place, and only a key not
+   seen before builds lists, a graph and a warning. A report's key is the
+   label it is attributed to, blamed or not, and depends on the path only
+   through blame. *)
 
 (* A cycle [v -> n1 -> ... -> u -> v] is increasing when every node other
    than v enters on a timestamp no later than it leaves on (Section 4.3).
@@ -186,46 +185,19 @@ let rec refuted_labels st ~root_ts i acc =
       (if refutes st ~root_ts i then Label.of_int st.stk_labels.(i) :: acc
        else acc)
 
-(* Distinct unblamed cycles are told apart by the (tid, label) sequence of
-   their nodes, hashed over the whole path and compared in full only with
-   the reported cycles of the same hash. *)
-let node_tid t p i = Pool.diag_tid (Pool.node_at t.pool (Pool.path_slot p i))
+(* Whether any cycle into [st]'s transaction could still make a report:
+   blame picks one of the open labels, and an unblamed report takes the
+   outermost. When none can, the cycle is only counted and its path is
+   never searched. *)
+let rec all_blamed t st i =
+  i >= st.depth
+  || Bitset.mem t.blamed_keys (Array.unsafe_get st.stk_labels i)
+     && all_blamed t st (i + 1)
 
-let node_label t p i =
-  Pool.diag_label (Pool.node_at t.pool (Pool.path_slot p i))
-
-let rec signature_hash t p i h =
-  if i > Pool.path_length p then h land max_int
-  else
-    signature_hash t p (i + 1)
-      ((((h * 65599) + node_tid t p i) * 65599) + node_label t p i)
-
-let rec same_signature t p i (nodes : Error_graph.gnode list) =
-  match nodes with
-  | [] -> i > Pool.path_length p
-  | n :: rest ->
-    i <= Pool.path_length p
-    && n.Error_graph.tid = node_tid t p i
-    && n.Error_graph.label = node_label t p i
-    && same_signature t p (i + 1) rest
-
-let rec seen_in t p = function
-  | [] -> false
-  | nodes :: rest -> same_signature t p 0 nodes || seen_in t p rest
-
-let unblamed_reported t p =
-  match Hashtbl.find t.unblamed_keys (signature_hash t p 0 0) with
-  | seen -> seen_in t p seen
-  | exception Not_found -> false
-
-let record_unblamed t p nodes =
-  let h = signature_hash t p 0 0 in
-  let seen =
-    match Hashtbl.find t.unblamed_keys h with
-    | seen -> seen
-    | exception Not_found -> []
-  in
-  Hashtbl.replace t.unblamed_keys h (nodes :: seen)
+let can_report t st =
+  not
+    (Bitset.mem t.unblamed_keys (Array.unsafe_get st.stk_labels 0)
+    && all_blamed t st 0)
 
 let graph_of_path t p ~closing_op ~blamed_slot =
   let len = Pool.path_length p in
@@ -262,23 +234,18 @@ let graph_of_path t p ~closing_op ~blamed_slot =
 
 (* Report the cycle an event closed, once per key: one per blamed label
    (the outermost refuted block; inner refuted blocks are mentioned,
-   deeper non-refuted ones stay silent), one per unblamed signature. *)
+   deeper non-refuted ones stay silent), and one per label for unblamed
+   cycles. *)
 let emit_cycle_warning t st (e : Event.t) p ~increasing =
   let root_ts = (Pool.path_edge t.pool p 0).Pool.tail_ts in
   let outermost = if increasing then first_refuted st ~root_ts 0 else -1 in
   let blamed = outermost >= 0 in
   (* Unblamed: attribute the report to the current outermost block so the
-     user can find it, but mark it unblamed. *)
-  let primary =
-    if blamed then st.stk_labels.(outermost)
-    else if st.depth > 0 then st.stk_labels.(0)
-    else -1
-  in
-  let fresh =
-    if blamed then Bitset.add t.blamed_keys primary
-    else not (unblamed_reported t p)
-  in
-  if fresh then begin
+     user can find it, but mark it unblamed. A cycle closes only on an edge
+     into an open transaction, so that block exists. *)
+  let primary = st.stk_labels.(if blamed then outermost else 0) in
+  if Bitset.add (if blamed then t.blamed_keys else t.unblamed_keys) primary
+  then begin
     let refuted =
       if blamed then refuted_labels st ~root_ts (st.depth - 1) [] else []
     in
@@ -286,7 +253,6 @@ let emit_cycle_warning t st (e : Event.t) p ~increasing =
     (* The cycle stays data; Warning.message and the CLI's dot export
        render it only for the warnings that get printed. *)
     let cycle = graph_of_path t p ~closing_op:e.Event.op ~blamed_slot in
-    if not blamed then record_unblamed t p cycle.Error_graph.nodes;
     let verdict =
       if blamed then
         Printf.sprintf "not self-serializable (refuted blocks: %s)"
@@ -297,17 +263,18 @@ let emit_cycle_warning t st (e : Event.t) p ~increasing =
       Warning.make
         ~analysis:"velodrome"
         ~kind:Warning.Atomicity_violation ~tid:(Op.tid e.Event.op)
-        ?label:(if primary >= 0 then Some (Label.of_int primary) else None)
+        ~label:(Label.of_int primary)
         ~cycle ~blamed ~refuted ~index:e.Event.index verdict
     in
     t.warnings_rev <- warning :: t.warnings_rev
   end
 
 (* The edge [src -> dst] was rejected: [dst ⇒* src] holds. Search the path
-   only while the event has no increasing cycle yet; the first path stays
-   in [chosen] as the fallback, and a later increasing one replaces it. *)
-let on_cycle t ~src ~src_ts ~dst =
-  if not t.ev_increasing then begin
+   only while the event has no increasing cycle yet and could still report;
+   the first path stays in [chosen] as the fallback, and a later increasing
+   one replaces it. *)
+let on_cycle t st ~src ~src_ts ~dst =
+  if (not t.ev_increasing) && can_report t st then begin
     let p = if t.ev_cycle then t.spare else t.chosen in
     Pool.find_path t.pool p ~from:dst ~to_:src;
     if increasing_from t.pool p ~closing_tail_ts:src_ts 0 then begin
@@ -324,7 +291,8 @@ let flush_cycle t st (e : Event.t) =
   t.ev_cycle <- false;
   t.cycles <- t.cycles + 1;
   if t.first_error = None then t.first_error <- Some e.Event.index;
-  emit_cycle_warning t st e t.chosen ~increasing:t.ev_increasing;
+  if can_report t st then
+    emit_cycle_warning t st e t.chosen ~increasing:t.ev_increasing;
   t.ev_increasing <- false
 
 (* --- Edges -------------------------------------------------------------- *)
@@ -333,7 +301,7 @@ let flush_cycle t st (e : Event.t) =
    step; note a cycle if one would form. A step of [dst] itself is a
    self-edge, which the pool would filter: return before building the
    edge's diagnostic operation. *)
-let edge_from_live t ~src ~dst ~dst_ts (e : Event.t) =
+let edge_from_live t st ~src ~dst ~dst_ts (e : Event.t) =
   if Step.slot_unchecked src <> Pool.slot dst then begin
     let src_node = Pool.node_of_step t.pool src in
     let src_ts = Step.ts_unchecked src in
@@ -342,12 +310,12 @@ let edge_from_live t ~src ~dst ~dst_ts (e : Event.t) =
         ~op:e.Event.op ~index:e.Event.index
     with
     | `Ok | `Self -> ()
-    | `Cycle -> on_cycle t ~src:src_node ~src_ts ~dst
+    | `Cycle -> on_cycle t st ~src:src_node ~src_ts ~dst
   end
 
 (* Stale and ⊥ steps contribute nothing. *)
-let edge_from t ~src ~dst ~dst_ts e =
-  if Pool.step_live t.pool src then edge_from_live t ~src ~dst ~dst_ts e
+let edge_from t st ~src ~dst ~dst_ts e =
+  if Pool.step_live t.pool src then edge_from_live t st ~src ~dst ~dst_ts e
 
 (* --- Merge (Figure 4) --------------------------------------------------- *)
 
@@ -432,7 +400,7 @@ let inside_step st n =
 
 let do_acquire t st n (e : Event.t) m =
   let ts = inside_step st n in
-  edge_from t ~src:(lock_step t m) ~dst:n ~dst_ts:ts e
+  edge_from t st ~src:(lock_step t m) ~dst:n ~dst_ts:ts e
 
 let do_release t st n m =
   ignore (inside_step st n);
@@ -441,7 +409,7 @@ let do_release t st n m =
 let do_read t st n (e : Event.t) x =
   let vs = var_state t x in
   let ts = inside_step st n in
-  edge_from t ~src:vs.w ~dst:n ~dst_ts:ts e;
+  edge_from t st ~src:vs.w ~dst:n ~dst_ts:ts e;
   set_read vs (Tid.to_int (Op.tid e.Event.op)) st.l
 
 (* A read step found stale becomes ⊥ in its entry: it can never be live
@@ -455,10 +423,10 @@ let do_write t st n (e : Event.t) x =
     let s = Array.unsafe_get steps i in
     if not (Step.is_bottom s) then
       if Pool.step_live t.pool s then
-        edge_from_live t ~src:s ~dst:n ~dst_ts:ts e
+        edge_from_live t st ~src:s ~dst:n ~dst_ts:ts e
       else Array.unsafe_set steps i Step.bottom
   done;
-  edge_from t ~src:vs.w ~dst:n ~dst_ts:ts e;
+  edge_from t st ~src:vs.w ~dst:n ~dst_ts:ts e;
   vs.w <- st.l
 
 let dispatch t st (e : Event.t) =
@@ -472,7 +440,7 @@ let dispatch t st (e : Event.t) =
       in
       Pool.set_active t.pool n true;
       let ts = Pool.fresh_ts n in
-      edge_from t ~src:st.l ~dst:n ~dst_ts:ts e;
+      edge_from t st ~src:st.l ~dst:n ~dst_ts:ts e;
       st.cur <- Pool.slot n;
       st.depth <- 0;
       stack_push st (Label.to_int l) ts;

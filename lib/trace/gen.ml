@@ -44,6 +44,9 @@ let small =
     max_depth = 1;
   }
 
+let dense =
+  { default with threads = 4; vars = 2; locks = 1; steps = 60; max_depth = 3 }
+
 type thread_state = { mutable depth : int; mutable held : int list }
 
 let run rng cfg =

@@ -351,20 +351,10 @@ let prop_engine_matches_oracle =
     (trace_arbitrary Gen.default) (fun tr ->
       verdict_engine tr = not (Velodrome_oracle.Oracle.serializable tr))
 
-let dense_contention =
-  {
-    Gen.default with
-    threads = 4;
-    vars = 2;
-    locks = 1;
-    steps = 60;
-    max_depth = 3;
-  }
-
 let prop_engine_matches_oracle_dense =
   QCheck.Test.make ~count:300
     ~name:"engine = oracle (dense contention)"
-    (trace_arbitrary dense_contention)
+    (trace_arbitrary Gen.dense)
     (fun tr ->
       verdict_engine tr = not (Velodrome_oracle.Oracle.serializable tr))
 
@@ -372,7 +362,7 @@ let prop_engine_matches_oracle_dense =
    would drop an edge and hide a cycle. *)
 let prop_basic_matches_oracle_dense =
   QCheck.Test.make ~count:300 ~name:"basic = oracle (dense contention)"
-    (trace_arbitrary dense_contention)
+    (trace_arbitrary Gen.dense)
     (fun tr ->
       verdict_basic tr = not (Velodrome_oracle.Oracle.serializable tr))
 
@@ -675,15 +665,14 @@ let paths_match_reference tr =
 let prop_paths_match_reference_dense =
   QCheck.Test.make ~count:100 ~name:"path search = recursive DFS (dense)"
     (trace_arbitrary
-       { Gen.default with threads = 8; vars = 2; locks = 1; labels = 8;
-         steps = 60; max_depth = 3 })
+       { Gen.dense with threads = 8; labels = 8 })
     paths_match_reference
 
 let prop_paths_match_reference_wide =
   QCheck.Test.make ~count:100 ~name:"path search = recursive DFS (wide)"
     (trace_arbitrary
-       { Gen.default with threads = 16; vars = 64; locks = 8; labels = 8;
-         steps = 120; max_depth = 3 })
+       { Gen.dense with threads = 16; vars = 64; locks = 8; labels = 8;
+         steps = 120 })
     paths_match_reference
 
 (* A path search reads the pool and writes a reused buffer: once the
@@ -788,8 +777,8 @@ let test_engine_allocation_jigsaw () =
 
 (* --- Slow-path allocation -------------------------------------------------- *)
 
-(* The violation-dense stream shape of the serve benchmark: about 220
-   distinct report keys per 3,000 events, with cycles of a dozen nodes. *)
+(* The violation-dense stream shape of the serve benchmark: about 1,000
+   cycles per 3,000 events, with cycles of a dozen nodes, over 8 labels. *)
 let dense_names () =
   let names = Names.create () in
   for i = 0 to 7 do
@@ -797,11 +786,8 @@ let dense_names () =
   done;
   names
 
-let shape_events ~threads ~vars ~locks seed =
-  let cfg =
-    { Gen.default with threads; vars; locks; labels = 8; steps = 3_000;
-      max_depth = 3 }
-  in
+let shape_events ?(steps = 3_000) ~threads ~vars ~locks seed =
+  let cfg = { Gen.dense with threads; vars; locks; labels = 8; steps } in
   Array.of_list
     (Event.of_ops
        (Trace.to_list (Gen.run (Velodrome_util.Rng.create seed) cfg)))
@@ -809,16 +795,17 @@ let shape_events ~threads ~vars ~locks seed =
 let dense_events = shape_events ~threads:8 ~vars:2 ~locks:1
 
 (* The serve benchmark's wide shape: fewer cycles than the dense one, but
-   the longest paths (13 edges on average) and the most new reports. *)
+   the longest paths (13 edges on average). *)
 let wide_events = shape_events ~threads:16 ~vars:64 ~locks:8
 
 (* A cycle's path search, blame and dedup allocate nothing, and only a
    new key builds its error graph as data and a short verdict; the dot and
    the cycle summary are rendered only where a warning is printed. Seeds
-   1-3 read 362, 326 and 408 B/event (365, 329 and 411 on the dev
-   profile). With every cycle's path built as a list they read 1,401 to
-   1,857; with the summary rendered eagerly again about 3.9 KB, and with
-   the dot as well about 14.5 KB. *)
+   1-3 read 204, 203 and 198 B/event (the same on the dev profile). Keyed
+   by their whole (tid, label) path, as unblamed reports once were, about
+   220 reports per stream read 326 to 408; with every cycle's path built
+   as a list 1,401 to 1,857; with the summary rendered eagerly again about
+   3.9 KB, and with the dot as well about 14.5 KB. *)
 let test_engine_slow_path_allocation () =
   let names = dense_names () in
   List.iter
@@ -829,12 +816,24 @@ let test_engine_slow_path_allocation () =
         allocated_bytes (fun () -> Array.iter (Engine.on_event eng) events)
       in
       let per_event = bytes /. float_of_int (Array.length events) in
-      check bool "violation-dense" true
-        (List.length (Engine.warnings eng) > 50);
+      check bool "violation-dense" true (Engine.cycles_found eng > 50);
       check bool
         (Printf.sprintf "seed %d: %.0f B/event on the slow path" seed per_event)
-        true (per_event < 480.))
+        true (per_event < 240.))
     [ 1; 2; 3 ]
+
+(* Reports are keyed by label, blamed or not, so a long violation-dense
+   stream over 8 labels keeps at most 16 of them however many cycles it
+   closes. Keyed by path, unblamed reports grew with the stream. *)
+let test_engine_reports_bounded_by_labels () =
+  let names = dense_names () in
+  let eng = Engine.create names in
+  Array.iter (Engine.on_event eng)
+    (shape_events ~steps:20_000 ~threads:8 ~vars:2 ~locks:1 1);
+  let cycles = Engine.cycles_found eng in
+  check bool (Printf.sprintf "%d cycles" cycles) true (cycles > 1_000);
+  let n = List.length (Engine.warnings eng) in
+  check bool (Printf.sprintf "%d reports" n) true (n <= 16)
 
 (* Every warning's full message and dot on the dense shape, pinned as a
    digest of their concatenation. A write adds its read edges in entry
@@ -875,22 +874,22 @@ let warning_pin events pins =
 let test_engine_warning_pin () =
   warning_pin dense_events
     [
-      (1, 249, "c220f7aed101fc5c199ae35c9d434cac",
+      (1, 16, "1d21381798f5952bf51b6c2207840806",
         "6461876f66047ff1c24a177952ef760c");
-      (2, 216, "2c74410282e714f4d60b95b99e3088de",
+      (2, 16, "d34eb8b1fdaea22c34f243fdb25098a6",
         "5dc5cb14061eeaab3cf2258a0a4b43c3");
-      (3, 261, "ccfa078f03b7302f713960ba3b383906",
+      (3, 16, "891eb0e7946e3984c3794638ab1232b8",
         "b26e3e7ef444a0f05ea5fe7dc493914e");
     ]
 
 let test_engine_warning_pin_wide () =
   warning_pin wide_events
     [
-      (1, 289, "04d13ac96e5dd1882f725829b26f10ff",
+      (1, 16, "d4c84ba6723e43b4d6c7c7610e10a0fb",
         "db2d107c89d2a8d24a52719fd0f48f29");
-      (2, 274, "76c36e9580e53b0a6204452e7c6c419e",
+      (2, 15, "7a3f485ee2b3a027bccc245cd72daff5",
         "dcc205fe328bfe1e485768bf628616a3");
-      (3, 304, "679f8d40ad4e381eb320271d396544a0",
+      (3, 16, "ab19fe8d0433bc97ba0b4e464d9565e8",
         "2c7c5b1d06b47682a231a86414624ed3");
     ]
 
@@ -949,6 +948,8 @@ let suite =
         test_engine_allocation_jigsaw;
       Alcotest.test_case "slow-path allocation" `Quick
         test_engine_slow_path_allocation;
+      Alcotest.test_case "reports bounded by labels" `Quick
+        test_engine_reports_bounded_by_labels;
       Alcotest.test_case "dense warnings pinned" `Quick
         test_engine_warning_pin;
       Alcotest.test_case "wide warnings pinned" `Quick

@@ -27,15 +27,19 @@
     containing both the root and target operations is refuted
     (Section 4.3). The warning carries the outermost refuted label.
 
-    {b Reports.} Each new report key (one per blamed label, one per
-    unblamed cycle signature) yields one warning: a short verdict text
-    plus the cycle as an {!Velodrome_analysis.Error_graph.t}. A detected
-    cycle is evaluated in place: blame and the key read the path that
-    {!Pool.find_path} leaves in a reused buffer, so a cycle whose key was
-    already reported allocates nothing. The cycle of a new report stays
-    data; its one-line summary ({!Velodrome_analysis.Warning.message})
-    and its dot graph are rendered only for warnings that get printed,
-    since most raw warnings are dropped by deduplication first.
+    {b Reports.} A report's key is the label it names: the outermost
+    refuted block when the cycle is blamed, else the current transaction's
+    outermost block. Each label is reported at most once blamed and once
+    unblamed, by the first cycle with that key, so a stream over [n]
+    labels keeps at most [2n] warnings however many cycles it closes. Each
+    is a short verdict text plus the cycle as an
+    {!Velodrome_analysis.Error_graph.t}. A detected cycle is evaluated in
+    place: blame reads the path that {!Pool.find_path} leaves in a reused
+    buffer, so a cycle whose key was already reported allocates nothing,
+    and a cycle whose thread can make no new report is only counted. The
+    cycle of a new report stays data; its one-line summary
+    ({!Velodrome_analysis.Warning.message}) and its dot graph are
+    rendered only for warnings that get printed.
 
     {b Merge.} Operations outside any atomic block go through the [merge]
     function of Figure 4, which avoids allocating nodes for unary
@@ -55,8 +59,10 @@ val on_event : t -> Event.t -> unit
 val finish : t -> unit
 
 val warnings : t -> Warning.t list
-(** Deduplicated: one warning per blamed label, and one per distinct
-    unblamed cycle signature. *)
+(** In detection order: at most one blamed and one unblamed warning per
+    label, each from the first cycle with that key.
+    {!Velodrome_analysis.Warning.dedup_by_label} keeps the first of the
+    two. *)
 
 val has_error : t -> bool
 (** Whether any cycle was detected — true iff the consumed trace is not

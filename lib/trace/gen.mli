@@ -33,7 +33,7 @@ val small : config
 (** 2–3 ops per thread; suitable for the exponential brute-force oracle. *)
 
 val dense : config
-(** High contention: 4 threads over 2 vars and 1 lock, 60 steps, depth 3.
-    Most traces are violations, with nested blocks to blame. *)
+(** High contention: 4 threads over 2 vars and 1 lock, 60 steps, nesting
+    depth 3. The shape of [velodrome fuzz --dense]. *)
 
 val run : Velodrome_util.Rng.t -> config -> Trace.t
